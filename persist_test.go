@@ -142,6 +142,8 @@ func TestWarmRestartSpannerVariant(t *testing.T) {
 	if _, s := mExact.Stats(); s == 0 {
 		t.Fatal("exact mechanism reused spanner snapshots")
 	}
+	// Let the write-behind of those solves finish before TempDir cleanup.
+	mExact.FlushCache()
 }
 
 // TestWarmRestartLocalVariant checks that locally relevant channels persist
@@ -217,6 +219,8 @@ func TestWarmRestartLocalVariant(t *testing.T) {
 	if _, s := mExact.Stats(); s == 0 {
 		t.Fatal("exact mechanism reused local snapshots")
 	}
+	// Let the write-behind of those solves finish before TempDir cleanup.
+	mExact.FlushCache()
 }
 
 // TestCacheBytesEvictionWithDiskReload bounds the resident cache tightly so
