@@ -86,6 +86,7 @@ func TestFleetSmoke(t *testing.T) {
 			"-hedge-delay", "20ms", "-fetch-timeout", "3s", "-fetch-backoff", "50ms",
 		)
 		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+		dieWithParent(cmd)
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("start replica %d: %v", i, err)
 		}

@@ -62,21 +62,22 @@ func TestTraceSmoke(t *testing.T) {
 			"-trace-theta", fmt.Sprint(theta), "-trace-eps-test", fmt.Sprint(epsTest),
 		)
 		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+		dieWithParent(cmd)
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("start geoind-server: %v", err)
 		}
+		// Registered before anything can fail, per process: a kill of an
+		// already-reaped process is harmless.
+		t.Cleanup(func() {
+			_ = cmd.Process.Kill()
+			_, _ = cmd.Process.Wait()
+		})
 		url := fmt.Sprintf("http://127.0.0.1:%d", port)
 		waitReady(t, url, 60*time.Second)
 		return cmd, url
 	}
 
 	proc, url := start()
-	t.Cleanup(func() {
-		if proc.Process != nil {
-			_ = proc.Process.Kill()
-			_, _ = proc.Process.Wait()
-		}
-	})
 
 	// Phase 1a: a stationary user reports the same point until a re-release
 	// is observed; its memoized release must survive the crash below. This

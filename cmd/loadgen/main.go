@@ -537,6 +537,8 @@ type summary struct {
 	ErrorRate    float64          `json:"error_rate"`
 
 	// Budget movement scraped from the server's /metrics after the run;
+	// charges and refunds count ledger debits and credits, so a trace step
+	// that paid for a failed test and a report counts two charges.
 	// RefundRate is refunds/charges (0 when the scrape is unavailable or
 	// no ledger is configured).
 	MetricsScraped bool    `json:"metrics_scraped"`

@@ -66,8 +66,9 @@ func (l *Ledger) Spend(user string, eps float64) error { return l.store.Spend(us
 // Refund credits eps back to the user's window budget, clamping at zero
 // spend. It undoes a Spend whose report never happened (request canceled,
 // deadline exceeded, mechanism failure): the user revealed nothing, so the
-// composability accounting of §2.2 owes them the budget back.
-func (l *Ledger) Refund(user string, eps float64) { l.store.Refund(user, eps) }
+// composability accounting of §2.2 owes them the budget back. It errs only
+// when the session journal has failed, and then the budget stays spent.
+func (l *Ledger) Refund(user string, eps float64) error { return l.store.Refund(user, eps) }
 
 // Remaining returns the user's unspent budget in the current window. It is
 // a pure read: querying arbitrary (possibly bogus) user IDs creates no

@@ -259,16 +259,17 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// chargeBudget / refundBudget record the ledger movements the handlers make;
-// the eps totals make refund *mass* (not just counts) visible, which is what
-// the loadgen refund-rate assertion checks against.
-func (m *serverMetrics) chargeBudget(eps float64) {
-	m.budgetCharges.Inc()
+// chargeBudget / refundBudget record n ledger debits (credits) totalling
+// eps that a handler made; a trace step may make several. The eps totals
+// make refund *mass* (not just counts) visible, which is what the loadgen
+// refund-rate assertion checks against.
+func (m *serverMetrics) chargeBudget(n int, eps float64) {
+	m.budgetCharges.Add(int64(n))
 	m.epsCharged.Add(eps)
 }
 
-func (m *serverMetrics) refundBudget(eps float64) {
-	m.budgetRefunds.Inc()
+func (m *serverMetrics) refundBudget(n int, eps float64) {
+	m.budgetRefunds.Add(int64(n))
 	m.epsRefunded.Add(eps)
 }
 

@@ -199,6 +199,33 @@ func writeReportError(w http.ResponseWriter, err error) {
 	}
 }
 
+// writeLedgerError answers a refused budget charge: 429 for an exhausted
+// window and 503 once the session journal has failed. On a journal failure
+// the charge stays spent and nothing is released: the server fails closed
+// rather than acknowledge budget use it could not make durable.
+func writeLedgerError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrBudgetExhausted):
+		writeJSON(w, http.StatusTooManyRequests, errorResponse{err.Error()})
+	case errors.Is(err, session.ErrJournalFailed):
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{err.Error()})
+	default:
+		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
+	}
+}
+
+// userIDError explains why user cannot name a budget account, or returns ""
+// when it can.
+func userIDError(user string) string {
+	switch {
+	case user == "":
+		return "user_id required"
+	case len(user) > session.MaxUserLen:
+		return fmt.Sprintf("user_id is %d bytes, limit %d", len(user), session.MaxUserLen)
+	}
+	return ""
+}
+
 // ReportRequest is the /v1/report request body.
 type ReportRequest struct {
 	// UserID identifies the budget account (required when budgets are
@@ -405,12 +432,20 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReady is the readiness probe: 200 while serving, 503 once
-// BeginShutdown has been called. Unlike /healthz (liveness: is the process
-// up), readiness tells load balancers whether to route new traffic here.
+// BeginShutdown has been called or the session journal has failed (the
+// store then refuses every budget charge until restart). Unlike /healthz
+// (liveness: is the process up), readiness tells load balancers whether to
+// route new traffic here.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "shutting_down"})
 		return
+	}
+	if s.ledger != nil {
+		if err := s.ledger.Sessions().Err(); err != nil {
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "journal_failed", "error": err.Error()})
+			return
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
@@ -620,19 +655,15 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.ledger != nil {
-		if req.UserID == "" {
-			writeJSON(w, http.StatusBadRequest, errorResponse{"user_id required"})
+		if msg := userIDError(req.UserID); msg != "" {
+			writeJSON(w, http.StatusBadRequest, errorResponse{msg})
 			return
 		}
 		if err := s.ledger.Spend(req.UserID, s.mech.Epsilon()); err != nil {
-			if errors.Is(err, ErrBudgetExhausted) {
-				writeJSON(w, http.StatusTooManyRequests, errorResponse{err.Error()})
-				return
-			}
-			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
+			writeLedgerError(w, err)
 			return
 		}
-		s.metrics.chargeBudget(s.mech.Epsilon())
+		s.metrics.chargeBudget(1, s.mech.Epsilon())
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
@@ -640,8 +671,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A failed or canceled report revealed nothing, so it costs nothing.
 		if s.ledger != nil {
-			s.ledger.Refund(req.UserID, s.mech.Epsilon())
-			s.metrics.refundBudget(s.mech.Epsilon())
+			if s.ledger.Refund(req.UserID, s.mech.Epsilon()) == nil {
+				s.metrics.refundBudget(1, s.mech.Epsilon())
+			}
 		}
 		writeReportError(w, err)
 		return
@@ -693,8 +725,8 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	user := reqs[0].UserID
 	if s.ledger != nil {
-		if user == "" {
-			writeJSON(w, http.StatusBadRequest, errorResponse{"entry 0: user_id required"})
+		if msg := userIDError(user); msg != "" {
+			writeJSON(w, http.StatusBadRequest, errorResponse{"entry 0: " + msg})
 			return
 		}
 		for i, req := range reqs[1:] {
@@ -712,10 +744,10 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 					float64(len(reqs))*s.mech.Epsilon(), s.ledger.Remaining(user), err)})
 				return
 			}
-			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
+			writeLedgerError(w, err)
 			return
 		}
-		s.metrics.chargeBudget(float64(len(reqs)) * s.mech.Epsilon())
+		s.metrics.chargeBudget(1, float64(len(reqs))*s.mech.Epsilon())
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
@@ -725,8 +757,9 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		// mid-flight released no sanitized locations, so the whole charge
 		// comes back.
 		if s.ledger != nil {
-			s.ledger.Refund(user, float64(len(reqs))*s.mech.Epsilon())
-			s.metrics.refundBudget(float64(len(reqs)) * s.mech.Epsilon())
+			if s.ledger.Refund(user, float64(len(reqs))*s.mech.Epsilon()) == nil {
+				s.metrics.refundBudget(1, float64(len(reqs))*s.mech.Epsilon())
+			}
 		}
 		writeReportError(w, err)
 		return

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"geoind/internal/geo"
+	"geoind/internal/session"
 	"geoind/internal/trajectory"
 )
 
@@ -28,38 +29,17 @@ type TraceConfig struct {
 }
 
 // traceState is the server-side state of the trace pipeline. The per-user
-// state (budget, last release) lives in the session store; this holds only
-// the shared configuration, the test-noise rng, the per-user step locks and
-// the counters.
+// state (budget, last release) and the per-user step serialization live in
+// the session store; this holds only the shared configuration, the
+// test-noise rng and the counters.
 type traceState struct {
 	cfg TraceConfig
 	rng *rand.Rand // over a locked source: safe for concurrent handlers
-
-	// userLocks serializes predictive steps per user (striped by FNV-1a of
-	// the user ID) so the memo read → step → memo write sequence is atomic
-	// per user. Without it, concurrent same-user steps race on the memo:
-	// several could each pay full epsilon for a fresh report, or one could
-	// re-release a memo another just replaced. Budget admission stays exact
-	// either way — this keeps the memo state and the fresh/memo-hit
-	// counters coherent. Striping bounds memory at the cost of occasional
-	// cross-user serialization (a colliding user waits out another's step,
-	// including its report's solve).
-	userLocks [256]sync.Mutex
 
 	fresh       atomic.Int64
 	memoHits    atomic.Int64
 	independent atomic.Int64
 	denied      atomic.Int64
-}
-
-// userLock returns the stripe lock serializing one user's predictive steps.
-func (ts *traceState) userLock(user string) *sync.Mutex {
-	h := uint32(2166136261)
-	for i := 0; i < len(user); i++ {
-		h ^= uint32(user[i])
-		h *= 16777619
-	}
-	return &ts.userLocks[h%uint32(len(ts.userLocks))]
 }
 
 // lockedSource serializes a rand.Source for concurrent use. rand/v2's Rand
@@ -128,26 +108,6 @@ type TraceResponse struct {
 	Mechanism string  `json:"mechanism"`
 }
 
-// traceBudget adapts the ledger (plus budget metrics) to the stepwise
-// trajectory API for one user.
-type traceBudget struct {
-	s    *Server
-	user string
-}
-
-func (b traceBudget) Spend(eps float64) error {
-	if err := b.s.ledger.Spend(b.user, eps); err != nil {
-		return err
-	}
-	b.s.metrics.chargeBudget(eps)
-	return nil
-}
-
-func (b traceBudget) Refund(eps float64) {
-	b.s.ledger.Refund(b.user, eps)
-	b.s.metrics.refundBudget(eps)
-}
-
 // serverReporter adapts the server's cancelable report path to the
 // context-free trajectory.Reporter interface for the duration of one request:
 // Report runs under the request context (timeout + client disconnect).
@@ -161,11 +121,15 @@ func (m serverReporter) Epsilon() float64                      { return m.s.mech
 
 // handleTrace serves POST /v1/trace: one true location in, one released
 // location out, with per-user sticky state (budget window + last release) in
-// the session store. Budget is charged before any noise is drawn; on a
-// failed or canceled release the report epsilon is refunded, while the
-// prediction test's epsTest — once its noise has been drawn — stays spent,
-// because the test outcome is observable through the response either way
-// (see trajectory.StepPredictive).
+// the session store. Each step is one session.Step: steps for the same user
+// run one at a time (so concurrent requests neither double-pay for fresh
+// reports nor re-release a stale memo), and the step's spends and memo
+// write reach the journal as a single record that is durable before the
+// response leaves. Budget is charged before any noise is drawn; on a failed
+// or canceled release the report epsilon is refunded, while the prediction
+// test's epsTest — once its noise has been drawn — stays spent, because the
+// test outcome is observable through the response either way (see
+// trajectory.StepPredictive).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
@@ -184,8 +148,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"invalid JSON: " + err.Error()})
 		return
 	}
-	if req.UserID == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"user_id required"})
+	if msg := userIDError(req.UserID); msg != "" {
+		writeJSON(w, http.StatusBadRequest, errorResponse{msg})
 		return
 	}
 	x := geo.Point{X: req.X, Y: req.Y}
@@ -198,78 +162,80 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if mode == "" {
 		mode = "predictive"
 	}
+	if mode != "predictive" && mode != "independent" {
+		writeJSON(w, http.StatusBadRequest, errorResponse{
+			fmt.Sprintf("unknown mode %q (want \"predictive\" or \"independent\")", req.Mode)})
+		return
+	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	switch mode {
-	case "independent":
-		eps := s.mech.Epsilon()
-		if err := s.ledger.Spend(req.UserID, eps); err != nil {
-			s.writeTraceSpendError(w, ts, err)
-			return
-		}
-		s.metrics.chargeBudget(eps)
-		z, err := s.reportOne(ctx, x)
-		if err != nil {
-			s.ledger.Refund(req.UserID, eps)
-			s.metrics.refundBudget(eps)
-			writeReportError(w, err)
-			return
-		}
-		ts.independent.Add(1)
-		writeJSON(w, http.StatusOK, TraceResponse{
-			X: z.X, Y: z.Y, EpsSpent: eps, Fresh: true, Mode: mode,
-			Remaining: s.ledger.Remaining(req.UserID), Mechanism: s.mech.Name(),
-		})
-
-	case "predictive":
-		// One predictive step at a time per user: the memo read, the step
-		// and the memo write must observe each other, or concurrent
-		// same-user requests double-pay for fresh reports / re-release a
-		// stale memo (budget accounting alone is already atomic).
-		lock := ts.userLock(req.UserID)
-		lock.Lock()
-		defer lock.Unlock()
-
-		sess := s.ledger.Sessions()
-		memo, ok := sess.Memo(req.UserID)
-		st := trajectory.State{HasRelease: ok, Release: memo}
-		pcfg := trajectory.PredictiveConfig{Theta: ts.cfg.Theta, EpsTest: ts.cfg.EpsTest}
-		step, next, err := trajectory.StepPredictive(
-			serverReporter{s, ctx}, traceBudget{s, req.UserID}, st, x, pcfg, ts.rng)
-		if err != nil {
-			if errors.Is(err, ErrBudgetExhausted) {
-				s.writeTraceSpendError(w, ts, err)
-				return
-			}
-			writeReportError(w, err)
-			return
-		}
-		if step.Fresh {
-			// Persist the new release as the session's prediction; the memo
-			// write is journaled with the same durability as the spend.
-			sess.SetMemo(req.UserID, next.Release)
-			ts.fresh.Add(1)
+	var step trajectory.Step
+	var remaining float64
+	err := s.ledger.Sessions().Step(req.UserID, func(tx *session.Tx) error {
+		defer func() {
+			s.metrics.chargeBudget(tx.Charged())
+			s.metrics.refundBudget(tx.Refunded())
+		}()
+		var err error
+		if mode == "independent" {
+			step, err = s.independentStep(ctx, tx, x)
 		} else {
-			ts.memoHits.Add(1)
+			step, err = s.predictiveStep(ctx, tx, ts, x)
 		}
-		writeJSON(w, http.StatusOK, TraceResponse{
-			X: step.Released.X, Y: step.Released.Y, EpsSpent: step.Spent,
-			Fresh: step.Fresh, Mode: mode,
-			Remaining: s.ledger.Remaining(req.UserID), Mechanism: s.mech.Name(),
-		})
-
-	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			fmt.Sprintf("unknown mode %q (want \"predictive\" or \"independent\")", req.Mode)})
-	}
-}
-
-func (s *Server) writeTraceSpendError(w http.ResponseWriter, ts *traceState, err error) {
-	if errors.Is(err, ErrBudgetExhausted) {
+		remaining = tx.Remaining()
+		return err
+	})
+	switch {
+	case errors.Is(err, ErrBudgetExhausted):
 		ts.denied.Add(1)
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{err.Error()})
+		writeLedgerError(w, err)
+		return
+	case errors.Is(err, session.ErrJournalFailed):
+		writeLedgerError(w, err)
+		return
+	case err != nil:
+		writeReportError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
+	switch {
+	case mode == "independent":
+		ts.independent.Add(1)
+	case step.Fresh:
+		ts.fresh.Add(1)
+	default:
+		ts.memoHits.Add(1)
+	}
+	writeJSON(w, http.StatusOK, TraceResponse{
+		X: step.Released.X, Y: step.Released.Y, EpsSpent: step.Spent,
+		Fresh: step.Fresh, Mode: mode, Remaining: remaining, Mechanism: s.mech.Name(),
+	})
+}
+
+// predictiveStep runs the test-then-release mechanism against the session's
+// memo and memoizes a fresh release as the next prediction.
+func (s *Server) predictiveStep(ctx context.Context, tx *session.Tx, ts *traceState, x geo.Point) (trajectory.Step, error) {
+	memo, ok := tx.Memo()
+	st := trajectory.State{HasRelease: ok, Release: memo}
+	pcfg := trajectory.PredictiveConfig{Theta: ts.cfg.Theta, EpsTest: ts.cfg.EpsTest}
+	step, next, err := trajectory.StepPredictive(serverReporter{s, ctx}, tx, st, x, pcfg, ts.rng)
+	if err == nil && step.Fresh {
+		tx.SetMemo(next.Release)
+	}
+	return step, err
+}
+
+// independentStep pays full epsilon for a fresh report, refunding it when
+// the report fails.
+func (s *Server) independentStep(ctx context.Context, tx *session.Tx, x geo.Point) (trajectory.Step, error) {
+	eps := s.mech.Epsilon()
+	if err := tx.Spend(eps); err != nil {
+		return trajectory.Step{}, err
+	}
+	z, err := s.reportOne(ctx, x)
+	if err != nil {
+		tx.Refund(eps)
+		return trajectory.Step{}, err
+	}
+	return trajectory.Step{Released: z, Spent: eps, Fresh: true}, nil
 }

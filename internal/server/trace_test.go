@@ -398,3 +398,92 @@ func TestTraceMetricsExposed(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceLongUserIDRejected: every budget-charging endpoint answers 400
+// for a user ID longer than the journal can record, charges nothing, and
+// leaves a journal that still reopens.
+func TestTraceLongUserIDRejected(t *testing.T) {
+	dir := t.TempDir()
+	cfg := session.Config{Limit: 10, Window: time.Hour, Dir: dir}
+	st, err := session.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := NewLedgerStore(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(newTestReporter(t, 1), ledger, geo.NewSquare(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnableTrace(TraceConfig{Theta: 4, EpsTest: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	long := strings.Repeat("x", session.MaxUserLen+1)
+	for path, body := range map[string]string{
+		"/v1/report":       fmt.Sprintf(`{"user_id":%q,"x":3,"y":3}`, long),
+		"/v1/report:batch": fmt.Sprintf(`[{"user_id":%q,"x":3,"y":3}]`, long),
+		"/v1/trace":        fmt.Sprintf(`{"user_id":%q,"x":3,"y":3}`, long),
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with a %d-byte user_id: status %d, want 400", path, len(long), resp.StatusCode)
+		}
+	}
+	if n := st.Users(); n != 0 {
+		t.Fatalf("rejected requests created %d session entries", n)
+	}
+	ts.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := session.Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen after rejected long user IDs: %v", err)
+	}
+	st2.Close()
+}
+
+// TestTraceChargesCountEachSpend: geoind_budget_charges_total counts every
+// debit a trace step makes, so a fresh step that paid for a failed test
+// and a report counts two, as its charges would outside a Step.
+func TestTraceChargesCountEachSpend(t *testing.T) {
+	const eps, epsTest = 0.5, 2.0
+	_, ts := newTraceServer(t, eps, 100, TraceConfig{Theta: 0.5, EpsTest: epsTest})
+	var spends int
+	var spent float64
+	for i, p := range [][2]float64{{1, 1}, {19, 19}, {1, 19}, {19, 1}} {
+		resp, out := postTrace(t, ts.URL, fmt.Sprintf(`{"user_id":"gus","x":%g,"y":%g}`, p[0], p[1]))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("step %d: status %d", i, resp.StatusCode)
+		}
+		cost := out["eps_spent"].(float64)
+		switch {
+		case cost == eps || cost == epsTest: // first step, or memo hit
+			spends++
+		case math.Abs(cost-(eps+epsTest)) < 1e-9: // failed test, then report
+			spends += 2
+		default:
+			t.Fatalf("step %d: eps_spent %g", i, cost)
+		}
+		spent += cost
+	}
+	if spends < 5 {
+		t.Fatalf("only %d spends over 4 steps: no step paid for a test and a report", spends)
+	}
+	samples := scrape(t, ts.URL)
+	if got := samples["geoind_budget_charges_total"]; got != float64(spends) {
+		t.Errorf("budget charges %g, want %d (one per spend)", got, spends)
+	}
+	if got := samples["geoind_budget_eps_charged_total"]; math.Abs(got-spent) > 1e-9 {
+		t.Errorf("eps charged %g, want %g", got, spent)
+	}
+}

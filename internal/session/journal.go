@@ -35,16 +35,33 @@
 // memoY) | crc32 uint32 of everything preceding. Snapshots are published
 // with the temp-file + atomic-rename pattern of channel.DirCache.
 //
+// Group commit: append writes a record's frame under the journal mutex and
+// returns a ticket, the count of records written so far. The caller drops
+// every lock and then waits on the sync mutex, which serializes fsyncs. A
+// waiter whose ticket the durable watermark already covers returns at once;
+// otherwise it reads the highest written ticket, fsyncs and advances the
+// watermark to that ticket, covering every waiter queued behind it. Frames
+// reach the file in ticket order, so an fsync that starts after ticket t was
+// written covers every record up to t. Memory may therefore show a mutation
+// before its record is durable, but no caller is told "done" before it is.
+//
+// Fail closed: a failed write or fsync latches the journal. The mutation
+// that hit it, and every later one, gets an error wrapping ErrJournalFailed,
+// and the watermark never moves again. An fsync is never retried on the
+// same descriptor (a failed fsync may already have dropped the dirty pages,
+// so a later success would prove nothing). A restart replays what reached
+// the disk.
+//
 // Compaction: (1) under the journal mutex, fsync and rotate sessions.wal to
 // sessions.wal.old and start a fresh segment; (2) export the live store;
 // (3) write the snapshot; (4) delete sessions.wal.old. A crash between any
 // two steps is recovered by ordered seq-gated replay. A torn record at the
 // tail of a segment (crash mid-append) ends that segment's replay and is
-// truncated away; with SyncEvery=1 that is at most the one record whose
-// write was interrupted. A segment no longer than its header whose header
-// fails structural checks (crash between creation and the header write
-// landing) is recovered the same way: truncated and re-headed, since no
-// record can have followed it.
+// truncated away; with SyncEvery=1 every acknowledged record was fsynced,
+// so the torn tail holds only records nobody was told were durable. A
+// segment no longer than its header whose header fails structural checks
+// (crash between creation and the header write landing) is recovered the
+// same way: truncated and re-headed, since no record can have followed it.
 package session
 
 import (
@@ -52,6 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -79,8 +97,11 @@ const (
 
 	walHeaderLen = 4 + 4 + 8 + 8 + 4
 	recordFixed  = 1 + 8 + 8 + 4 + 8 + 8 + 1 + 8 + 8 // body minus the user bytes
-	maxUserLen   = 4096
 )
+
+// MaxUserLen is the longest user ID, in bytes, the journal can frame. Store
+// mutations reject longer (and empty) IDs with ErrUserID.
+const MaxUserLen = 4096
 
 var (
 	// ErrJournal wraps any framing/CRC violation found while decoding.
@@ -90,7 +111,19 @@ var (
 	// errTorn marks an incomplete record at the tail of a segment — the
 	// expected shape of a crash mid-append, recovered by truncation.
 	errTorn = errors.New("session: torn journal tail")
+	// ErrJournalFailed marks a mutation that could not be made durable
+	// because a journal write or fsync failed. The store latches on the
+	// first one and refuses every later mutation with it until restart.
+	ErrJournalFailed = errors.New("session: journal failed, store is read-only")
 )
+
+// segment is the active journal file as the append and sync paths use it.
+// *os.File implements it; tests substitute fault-injecting doubles.
+type segment interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
 
 // record is one absolute-state journal entry.
 type record struct {
@@ -111,13 +144,25 @@ type journal struct {
 	syncEvery    int
 	compactEvery int
 
-	// mu guards the active segment file. It is a leaf lock: the append path
+	// syncMu serializes fsyncs and everything that replaces or closes the
+	// segment, so no fsync is in flight on a descriptor being closed. Lock
+	// order: syncMu before mu; it is never taken under mu or a shard mutex.
+	syncMu sync.Mutex
+	// durable is the highest ticket an fsync has covered. It is written
+	// under syncMu and read by append under mu.
+	durable atomic.Uint64
+
+	// mu guards the active segment. It is a leaf lock: the append path
 	// acquires it while holding a shard mutex, so nothing acquired under mu
-	// may ever wait on a shard.
+	// may ever wait on a shard. No fsync runs under it except compaction's
+	// rotation and close, which also hold syncMu.
 	mu         sync.Mutex
-	f          *os.File
-	unsynced   int
-	segRecords int // records in the active segment since last rotation
+	f          segment
+	segRecords int    // records in the active segment since last rotation
+	written    uint64 // ticket of the last record written
+	// err latches the first write or fsync failure (wraps
+	// ErrJournalFailed). Once set, nothing is written or synced again.
+	err error
 
 	// compactMu serializes compactions (background and explicit).
 	compactMu  sync.Mutex
@@ -147,15 +192,19 @@ type JournalStats struct {
 	// during replay. Nonzero after an unclean shutdown is expected (the torn
 	// tail); growth during steady state is not.
 	Anomalies int64 `json:"anomalies"`
-	// Failures counts background compactions that errored and records
-	// dropped because no segment was writable (state stays safe: in-memory
-	// admission control is unaffected, and the journal keeps growing until
-	// a compaction succeeds).
+	// Failures counts journal write and fsync failures (each latches the
+	// store read-only), background compactions that errored (the records
+	// stay in the segment, so nothing acknowledged is lost; the segment
+	// keeps growing until a compaction succeeds), and mutations made after
+	// Close, which are kept in memory but never journaled.
 	Failures int64 `json:"failures"`
+	// Error is the latched journal failure, empty while the journal is
+	// healthy. Set, it means every mutation is refused until restart.
+	Error string `json:"error,omitempty"`
 }
 
 func (j *journal) stats() *JournalStats {
-	return &JournalStats{
+	st := &JournalStats{
 		Records:     j.appended.Load(),
 		Bytes:       j.bytes.Load(),
 		Syncs:       j.syncs.Load(),
@@ -164,6 +213,10 @@ func (j *journal) stats() *JournalStats {
 		Anomalies:   j.anomalies.Load(),
 		Failures:    j.failures.Load(),
 	}
+	if err := j.failure(); err != nil {
+		st.Error = err.Error()
+	}
+	return st
 }
 
 // ---- record codec ----
@@ -176,7 +229,7 @@ func appendFloat(b []byte, v float64) []byte {
 
 // encodeRecord frames one record: length | body | crc32(body).
 func encodeRecord(rec record) ([]byte, error) {
-	if len(rec.user) == 0 || len(rec.user) > maxUserLen {
+	if len(rec.user) == 0 || len(rec.user) > MaxUserLen {
 		return nil, fmt.Errorf("%w: user ID length %d", ErrJournal, len(rec.user))
 	}
 	body := make([]byte, 0, recordFixed+len(rec.user))
@@ -211,7 +264,7 @@ func decodeRecord(data []byte) (record, int, error) {
 		return rec, 0, errTorn
 	}
 	n := int(binary.LittleEndian.Uint32(data))
-	if n < recordFixed || n > recordFixed+maxUserLen {
+	if n < recordFixed || n > recordFixed+MaxUserLen {
 		return rec, 0, fmt.Errorf("%w: record length %d", ErrJournal, n)
 	}
 	if len(data) < 4+n+4 {
@@ -228,7 +281,7 @@ func decodeRecord(data []byte) (record, int, error) {
 	rec.at = int64(binary.LittleEndian.Uint64(body[1:]))
 	rec.seq = binary.LittleEndian.Uint64(body[9:])
 	userLen := int(binary.LittleEndian.Uint32(body[17:]))
-	if userLen == 0 || userLen > maxUserLen || recordFixed+userLen != n {
+	if userLen == 0 || userLen > MaxUserLen || recordFixed+userLen != n {
 		return rec, 0, fmt.Errorf("%w: user length %d in %d-byte record", ErrJournal, userLen, n)
 	}
 	p := 21
@@ -335,7 +388,7 @@ func decodeSnapshot(data []byte, limit float64, window time.Duration) ([]State, 
 		seq := binary.LittleEndian.Uint64(body[p:])
 		userLen := int(binary.LittleEndian.Uint32(body[p+8:]))
 		p += 12
-		if userLen == 0 || userLen > maxUserLen || len(body)-p < userLen+33 {
+		if userLen == 0 || userLen > MaxUserLen || len(body)-p < userLen+33 {
 			return nil, fmt.Errorf("%w: snapshot user %d length %d", ErrJournal, i, userLen)
 		}
 		user := string(body[p : p+userLen])
@@ -512,47 +565,96 @@ func (j *journal) openSegment() error {
 	j.mu.Lock()
 	j.f = f
 	j.segRecords = 0
-	j.unsynced = 0
 	j.mu.Unlock()
 	return nil
 }
 
-// append writes one record to the active segment, honoring the fsync
-// policy. Called with a shard mutex held; must never block on anything but
-// j.mu and the disk. Failures are counted, not propagated: the in-memory
-// state is already mutated and remains authoritative for this process —
-// durability degrades, admission control does not.
-func (j *journal) append(rec record) {
+// append writes one record's frame to the active segment and returns the
+// ticket the caller must pass to wait once it has dropped every lock. A
+// zero ticket means there is nothing to wait for: the segment is below its
+// SyncEvery backlog, or the store was closed (the record is dropped and
+// counted in failures; after Close the store is memory-only by contract).
+// A failed or short write latches the journal and returns the error: the
+// caller has already changed memory and must not acknowledge the mutation.
+// Called with a shard mutex held; it never blocks on anything but j.mu and
+// one write.
+func (j *journal) append(rec record) (uint64, error) {
 	frame, err := encodeRecord(rec)
 	if err != nil {
-		j.anomalies.Add(1)
-		return
+		return 0, err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.err != nil {
+		return 0, j.err
+	}
 	if j.f == nil {
-		// No active segment (closed store, or a failed rotation whose
-		// restore also failed): the record is dropped. Count it so the
-		// durability degradation is visible in metrics, not silent.
 		j.failures.Add(1)
-		return
+		return 0, nil
 	}
-	if _, err := j.f.Write(frame); err != nil {
-		j.failures.Add(1)
-		return
+	if n, err := j.f.Write(frame); err != nil || n != len(frame) {
+		if err == nil {
+			err = io.ErrShortWrite
+		}
+		return 0, j.failLocked(fmt.Errorf("write: %w", err))
 	}
+	j.written++
 	j.appended.Add(1)
 	j.bytes.Add(int64(len(frame)))
 	j.segRecords++
-	j.unsynced++
-	if j.unsynced >= j.syncEvery {
-		if err := j.f.Sync(); err != nil {
-			j.failures.Add(1)
-		} else {
-			j.syncs.Add(1)
-		}
-		j.unsynced = 0
+	if j.written-j.durable.Load() < uint64(j.syncEvery) {
+		return 0, nil
 	}
+	return j.written, nil
+}
+
+// wait returns once an fsync has covered ticket t, running one itself when
+// no earlier fsync did, or returns the latched failure. Callers hold no lock.
+func (j *journal) wait(t uint64) error {
+	if t == 0 {
+		return nil
+	}
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	if j.durable.Load() >= t {
+		return nil
+	}
+	j.mu.Lock()
+	f, target, err := j.f, j.written, j.err
+	j.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if f == nil {
+		// Unreachable: rotation and close advance durable before they drop
+		// the segment, and a lost segment latches err.
+		return fmt.Errorf("%w: no active segment", ErrJournalFailed)
+	}
+	if err := f.Sync(); err != nil {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.failLocked(fmt.Errorf("fsync: %w", err))
+	}
+	j.syncs.Add(1)
+	j.durable.Store(target)
+	return nil
+}
+
+// failLocked latches the first journal failure and returns the latched
+// error. Caller holds j.mu.
+func (j *journal) failLocked(err error) error {
+	if j.err == nil {
+		j.err = fmt.Errorf("%w: %w", ErrJournalFailed, err)
+		j.failures.Add(1)
+	}
+	return j.err
+}
+
+// failure returns the latched journal failure, or nil.
+func (j *journal) failure() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err
 }
 
 func (j *journal) shouldCompact() bool {
@@ -561,18 +663,15 @@ func (j *journal) shouldCompact() bool {
 	return j.segRecords >= j.compactEvery
 }
 
+// sync makes every record written so far durable (Store.Sync).
 func (j *journal) sync() error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	j.unsynced = 0
-	if err := j.f.Sync(); err != nil {
+	t, err := j.written, j.err
+	j.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	j.syncs.Add(1)
-	return nil
+	return j.wait(t)
 }
 
 // compact rotates the active segment aside, snapshots the exported state and
@@ -590,53 +689,9 @@ func (j *journal) compact(export func() []State) error {
 	_, statErr := os.Stat(oldPath)
 	leftover := statErr == nil
 
-	j.mu.Lock()
-	if j.f == nil {
-		j.mu.Unlock()
-		return fmt.Errorf("session: journal closed")
+	if err := j.rotate(oldPath, walPath, leftover); err != nil {
+		return err
 	}
-	if !leftover {
-		if err := j.f.Sync(); err != nil {
-			j.mu.Unlock()
-			return fmt.Errorf("session: sync before rotate: %w", err)
-		}
-		if err := j.f.Close(); err != nil {
-			j.mu.Unlock()
-			return fmt.Errorf("session: close before rotate: %w", err)
-		}
-		j.f = nil
-		if err := os.Rename(walPath, oldPath); err != nil {
-			// Reopen so appends keep flowing even though rotation failed.
-			rerr := j.reopenAppend(walPath)
-			j.mu.Unlock()
-			if rerr != nil {
-				return errors.Join(err, rerr)
-			}
-			return fmt.Errorf("session: rotate journal: %w", err)
-		}
-		f, err := os.OpenFile(walPath, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err != nil {
-			rerr := j.restoreRotated(oldPath, walPath)
-			j.mu.Unlock()
-			return errors.Join(fmt.Errorf("session: fresh journal segment: %w", err), rerr)
-		}
-		if _, err := f.Write(encodeWALHeader(j.limit, j.window)); err != nil {
-			f.Close()
-			rerr := j.restoreRotated(oldPath, walPath)
-			j.mu.Unlock()
-			return errors.Join(fmt.Errorf("session: fresh segment header: %w", err), rerr)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			rerr := j.restoreRotated(oldPath, walPath)
-			j.mu.Unlock()
-			return errors.Join(fmt.Errorf("session: sync fresh segment: %w", err), rerr)
-		}
-		j.f = f
-		j.segRecords = 0
-		j.unsynced = 0
-	}
-	j.mu.Unlock()
 
 	states := export()
 	snap := encodeSnapshot(j.limit, j.window, states)
@@ -670,12 +725,66 @@ func (j *journal) compact(export func() []State) error {
 	return nil
 }
 
+// rotate fsyncs the active segment, moves it to sessions.wal.old and starts
+// a fresh one; with leftover set (a rotated segment is already waiting for
+// its snapshot) it only checks that the journal is usable. It holds syncMu,
+// so no fsync is in flight on the segment it closes.
+func (j *journal) rotate(oldPath, walPath string, leftover bool) error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.err != nil {
+		// A failed journal is never synced again, and a snapshot would make
+		// memory that was refused durability look durable.
+		return j.err
+	}
+	if j.f == nil {
+		return fmt.Errorf("session: journal closed")
+	}
+	if leftover {
+		return nil
+	}
+	if err := j.f.Sync(); err != nil {
+		return j.failLocked(fmt.Errorf("sync before rotate: %w", err))
+	}
+	j.durable.Store(j.written)
+	if err := j.f.Close(); err != nil {
+		return fmt.Errorf("session: close before rotate: %w", err)
+	}
+	j.f = nil
+	if err := os.Rename(walPath, oldPath); err != nil {
+		// Reopen so appends keep flowing even though rotation failed.
+		if rerr := j.reopenAppend(walPath); rerr != nil {
+			return errors.Join(err, rerr)
+		}
+		return fmt.Errorf("session: rotate journal: %w", err)
+	}
+	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return errors.Join(fmt.Errorf("session: fresh journal segment: %w", err), j.restoreRotated(oldPath, walPath))
+	}
+	if _, err := f.Write(encodeWALHeader(j.limit, j.window)); err != nil {
+		f.Close()
+		return errors.Join(fmt.Errorf("session: fresh segment header: %w", err), j.restoreRotated(oldPath, walPath))
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return errors.Join(fmt.Errorf("session: sync fresh segment: %w", err), j.restoreRotated(oldPath, walPath))
+	}
+	j.f = f
+	j.segRecords = 0
+	return nil
+}
+
 // reopenAppend re-opens the active segment for appending after a failed
-// rotation. Caller holds j.mu.
+// rotation. Every record in it was fsynced before the rotation began. If it
+// cannot be reopened the journal has no segment and latches. Caller holds
+// j.mu.
 func (j *journal) reopenAppend(path string) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("session: reopen journal: %w", err)
+		return j.failLocked(fmt.Errorf("reopen journal: %w", err))
 	}
 	j.f = f
 	return nil
@@ -686,24 +795,36 @@ func (j *journal) reopenAppend(path string) error {
 // removed, the rotated segment is renamed back into place, and appending
 // resumes on it — so one bad compaction degrades to a retried compaction,
 // not a silently dead journal. If the restore itself fails, j.f stays nil
-// and append counts every dropped record in failures. Caller holds j.mu.
+// and the journal latches: every later mutation is refused. Caller holds
+// j.mu.
 func (j *journal) restoreRotated(oldPath, walPath string) error {
 	if err := os.Remove(walPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("session: remove partial fresh segment: %w", err)
+		return j.failLocked(fmt.Errorf("remove partial fresh segment: %w", err))
 	}
 	if err := os.Rename(oldPath, walPath); err != nil {
-		return fmt.Errorf("session: restore rotated segment: %w", err)
+		return j.failLocked(fmt.Errorf("restore rotated segment: %w", err))
 	}
 	return j.reopenAppend(walPath)
 }
 
+// close makes every written record durable and closes the segment. A
+// latched journal is closed without another fsync and reports its failure.
 func (j *journal) close() error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
-		return nil
+		return j.err
 	}
-	err := j.f.Sync()
+	err := j.err
+	if err == nil {
+		if serr := j.f.Sync(); serr != nil {
+			err = j.failLocked(fmt.Errorf("fsync on close: %w", serr))
+		} else {
+			j.durable.Store(j.written)
+		}
+	}
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}

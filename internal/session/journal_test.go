@@ -26,7 +26,7 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Refund("bob", 0.25)
-	s.SetMemo("alice", geo.Point{X: 4, Y: -2})
+	setMemo(s, "alice", geo.Point{X: 4, Y: -2})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestJournalReplayWithoutClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.SetMemo("u", geo.Point{X: 1, Y: 1})
+	setMemo(s, "u", geo.Point{X: 1, Y: 1})
 	// Abandon s without Close: SyncEvery=1 means every record hit disk.
 
 	s2 := mustOpen(t, cfg)
@@ -435,7 +435,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	if _, err := encodeRecord(record{user: ""}); err == nil {
 		t.Error("empty user encoded")
 	}
-	if _, err := encodeRecord(record{user: string(make([]byte, maxUserLen+1))}); err == nil {
+	if _, err := encodeRecord(record{user: string(make([]byte, MaxUserLen+1))}); err == nil {
 		t.Error("oversized user encoded")
 	}
 }

@@ -8,7 +8,13 @@
 // with a directory it is crash-safe: every accepted mutation appends an
 // absolute-state record to a checksummed journal (see journal.go) which is
 // periodically compacted into a snapshot and replayed on startup, so a
-// restart never forgets spend and never lets a user over-spend.
+// restart never forgets spend and never lets a user over-spend. Mutations
+// return only after an fsync covers their record (group commit), and a
+// journal that cannot write or fsync turns the store read-only.
+//
+// Step runs a multi-operation change to one user (a trace step's test
+// spend, report spend and memo write) as a single transaction that the
+// journal records once.
 package session
 
 import (
@@ -25,6 +31,10 @@ import (
 // cover the request. internal/server re-exports this value, so errors.Is and
 // direct equality both keep working across the layers.
 var ErrBudgetExhausted = errors.New("privacy budget exhausted for this window")
+
+// ErrUserID rejects a mutation whose user ID is empty or longer than
+// MaxUserLen: the journal could not frame its record.
+var ErrUserID = errors.New("session: invalid user ID")
 
 const (
 	numShards = 64
@@ -46,8 +56,10 @@ type Config struct {
 	// Empty means a memory-only store (state dies with the process).
 	Dir string
 	// SyncEvery is the number of journal records between fsyncs. 1 (the
-	// default) syncs every record: a crash loses at most the record being
-	// written. Larger values trade bounded loss for throughput.
+	// default) makes every mutation wait until an fsync covers its record,
+	// with concurrent mutations sharing one fsync: a crash loses only
+	// records nobody was told were durable. Larger values wait only once
+	// SyncEvery records are unsynced, trading bounded loss for throughput.
 	SyncEvery int
 	// CompactEvery triggers snapshot compaction after this many journal
 	// records. Defaults to DefaultCompactEvery.
@@ -80,7 +92,16 @@ type entry struct {
 type shard struct {
 	mu    sync.Mutex
 	users map[string]*entry
-	ops   int // mutations since the last opportunistic sweep
+	steps map[string]*stepLock // users with a Step running or waiting
+	ops   int                  // mutations since the last opportunistic sweep
+}
+
+// stepLock serializes one user's Steps. It lives outside the entry, so a
+// sweep that evicts the entry mid-step cannot split the lock; refs counts
+// the Steps holding or waiting on it, and the last one out deletes it.
+type stepLock struct {
+	mu   sync.Mutex
+	refs int
 }
 
 // Store is the sharded session store. The zero value is not usable; call
@@ -143,6 +164,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	for i := range s.shards {
 		s.shards[i].users = make(map[string]*entry)
+		s.shards[i].steps = make(map[string]*stepLock)
 	}
 	if cfg.Dir != "" {
 		j, states, err := openJournal(cfg)
@@ -208,13 +230,28 @@ func (s *Store) entryLocked(sh *shard, user string, now time.Time) *entry {
 	return e
 }
 
-// logLocked journals the user's absolute state. Caller holds sh.mu; the
-// journal mutex is a leaf below every shard mutex.
-func (s *Store) logLocked(user string, e *entry, now time.Time) {
-	if s.j == nil || !s.owns(user) {
-		return
+// checkMutation refuses a mutation before it touches memory: the user ID
+// must be journalable, and a failed journal refuses everything.
+func (s *Store) checkMutation(user string) error {
+	if len(user) == 0 || len(user) > MaxUserLen {
+		return fmt.Errorf("%w: %d bytes (want 1 to %d)", ErrUserID, len(user), MaxUserLen)
 	}
-	s.j.append(record{
+	if s.j != nil {
+		return s.j.failure()
+	}
+	return nil
+}
+
+// logLocked bumps the entry's seq and writes its absolute state to the
+// journal, returning the group-commit ticket to settle once every lock is
+// dropped. Caller holds sh.mu; the journal mutex is a leaf below every
+// shard mutex.
+func (s *Store) logLocked(user string, e *entry, now time.Time) (uint64, error) {
+	e.seq = s.seq.Add(1)
+	if s.j == nil || !s.owns(user) {
+		return 0, nil
+	}
+	return s.j.append(record{
 		at:          now.UnixNano(),
 		seq:         e.seq,
 		user:        user,
@@ -226,30 +263,63 @@ func (s *Store) logLocked(user string, e *entry, now time.Time) {
 	})
 }
 
+// settle finishes a journaled mutation with no lock held: it waits until an
+// fsync covers the ticket, then kicks compaction when the segment is due.
+func (s *Store) settle(ticket uint64, err error) error {
+	if s.j == nil {
+		return err
+	}
+	if err == nil {
+		err = s.j.wait(ticket)
+	}
+	s.maybeCompact()
+	return err
+}
+
 // Spend debits eps from the user's window budget, or returns
 // ErrBudgetExhausted (leaving the store unchanged) when the remaining budget
-// is insufficient. Accepted spends are journaled before Spend returns, so
-// under SyncEvery=1 a crash can never forget a spend it admitted.
+// is insufficient. An accepted spend returns only once its record is
+// durable (under SyncEvery=1), so a crash can never forget a spend it
+// admitted. A journal failure returns an error wrapping ErrJournalFailed;
+// the spend stays charged in memory, since nothing may be released for it.
 func (s *Store) Spend(user string, eps float64) error {
 	if !(eps > 0) {
 		return fmt.Errorf("session: spend amount %g must be positive", eps)
+	}
+	if err := s.checkMutation(user); err != nil {
+		return err
 	}
 	sh := s.shard(user)
 	sh.mu.Lock()
 	now := s.now()
 	s.maybeSweepLocked(sh, now)
 	e := s.entryLocked(sh, user, now)
-	if e.spent+eps > s.limit+1e-12 {
+	if err := s.spendLocked(e, eps); err != nil {
 		sh.mu.Unlock()
+		return err
+	}
+	t, err := s.logLocked(user, e, now)
+	sh.mu.Unlock()
+	return s.settle(t, err)
+}
+
+// spendLocked is the admission rule every spend goes through: debit eps
+// from e, or return ErrBudgetExhausted leaving e unchanged. Caller holds
+// e's shard mutex.
+func (s *Store) spendLocked(e *entry, eps float64) error {
+	if e.spent+eps > s.limit+1e-12 {
 		return ErrBudgetExhausted
 	}
 	e.spent += eps
-	e.seq = s.seq.Add(1)
-	s.logLocked(user, e, now)
-	sh.mu.Unlock()
 	s.spends.Add(1)
-	s.maybeCompact()
 	return nil
+}
+
+// refundLocked credits eps back to e, clamping at zero spend. Caller holds
+// e's shard mutex.
+func (s *Store) refundLocked(e *entry, eps float64) {
+	e.spent = max(e.spent-eps, 0)
+	s.refunds.Add(1)
 }
 
 // Refund credits eps back to the user's window budget, clamping at zero
@@ -257,24 +327,23 @@ func (s *Store) Spend(user string, eps float64) error {
 // deadline exceeded, mechanism failure): the user revealed nothing, so the
 // composability accounting of §2.2 owes them the budget back. Refunding
 // after the window rolled over is harmless — the fresh window already has
-// zero spend and the clamp keeps it there.
-func (s *Store) Refund(user string, eps float64) {
+// zero spend and the clamp keeps it there. A failed journal refuses the
+// refund, which only ever errs toward more spend.
+func (s *Store) Refund(user string, eps float64) error {
 	if !(eps > 0) {
-		return
+		return nil
+	}
+	if err := s.checkMutation(user); err != nil {
+		return err
 	}
 	sh := s.shard(user)
 	sh.mu.Lock()
 	now := s.now()
 	e := s.entryLocked(sh, user, now)
-	e.spent -= eps
-	if e.spent < 0 {
-		e.spent = 0
-	}
-	e.seq = s.seq.Add(1)
-	s.logLocked(user, e, now)
+	s.refundLocked(e, eps)
+	t, err := s.logLocked(user, e, now)
 	sh.mu.Unlock()
-	s.refunds.Add(1)
-	s.maybeCompact()
+	return s.settle(t, err)
 }
 
 // Remaining returns the user's unspent budget in the current window. It is a
@@ -308,21 +377,145 @@ func (s *Store) Memo(user string) (geo.Point, bool) {
 	return e.memo, true
 }
 
+// Tx is one user's state inside Store.Step. Each method changes or reads
+// the user's in-memory entry under the shard mutex, looking the entry up
+// afresh every time, so a sweep between calls cannot orphan it. Nothing is
+// journaled until the step ends.
+type Tx struct {
+	s       *Store
+	sh      *shard
+	user    string
+	before  entry // the entry at the first change, for the net-zero check
+	touched bool
+
+	spends, refunds   int
+	charged, refunded float64
+}
+
+// entryLocked returns the live entry, remembering its state at the first
+// touch. Caller holds tx.sh.mu.
+func (tx *Tx) entryLocked(now time.Time) *entry {
+	e := tx.s.entryLocked(tx.sh, tx.user, now)
+	if !tx.touched {
+		tx.before, tx.touched = *e, true
+	}
+	return e
+}
+
+// Spend debits eps like Store.Spend, without journaling.
+func (tx *Tx) Spend(eps float64) error {
+	if !(eps > 0) {
+		return fmt.Errorf("session: spend amount %g must be positive", eps)
+	}
+	s, sh := tx.s, tx.sh
+	sh.mu.Lock()
+	now := s.now()
+	s.maybeSweepLocked(sh, now)
+	err := s.spendLocked(tx.entryLocked(now), eps)
+	sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	tx.spends++
+	tx.charged += eps
+	return nil
+}
+
+// Refund credits eps back like Store.Refund, without journaling.
+func (tx *Tx) Refund(eps float64) {
+	if !(eps > 0) {
+		return
+	}
+	s, sh := tx.s, tx.sh
+	sh.mu.Lock()
+	s.refundLocked(tx.entryLocked(s.now()), eps)
+	sh.mu.Unlock()
+	tx.refunds++
+	tx.refunded += eps
+}
+
+// Memo returns the user's last released location, if any.
+func (tx *Tx) Memo() (geo.Point, bool) { return tx.s.Memo(tx.user) }
+
 // SetMemo records the user's last released location. The memo does not
 // expire with the budget window; it is lost only when the whole entry is
 // evicted after a long idle period (costing the user one fresh report).
-func (s *Store) SetMemo(user string, p geo.Point) {
-	sh := s.shard(user)
+func (tx *Tx) SetMemo(p geo.Point) {
+	s, sh := tx.s, tx.sh
 	sh.mu.Lock()
-	now := s.now()
-	e := s.entryLocked(sh, user, now)
+	e := tx.entryLocked(s.now())
 	e.hasMemo = true
 	e.memo = p
-	e.seq = s.seq.Add(1)
-	s.logLocked(user, e, now)
 	sh.mu.Unlock()
 	s.memoWrites.Add(1)
-	s.maybeCompact()
+}
+
+// Remaining returns the user's unspent budget in the current window.
+func (tx *Tx) Remaining() float64 { return tx.s.Remaining(tx.user) }
+
+// Charged returns how many spends this transaction has made so far and the
+// budget they debited.
+func (tx *Tx) Charged() (int, float64) { return tx.spends, tx.charged }
+
+// Refunded returns how many refunds this transaction has made so far and
+// the budget they credited back.
+func (tx *Tx) Refunded() (int, float64) { return tx.refunds, tx.refunded }
+
+// Step runs fn as one transaction on user's state and journals the final
+// state as a single record. Steps for the same user run one at a time
+// under a per-user lock; fn runs under that lock only, never under a shard
+// mutex, so a slow fn (a cold channel solve) blocks no other user. Other
+// writers to the same user (Spend, Refund) still interleave with fn.
+//
+// The record is written even when fn fails, because budget fn spent stays
+// spent; a step whose changes cancel out (a spend refunded in full) writes
+// nothing. Step returns after an fsync covers the record, with fn's error,
+// or with the journal error, which takes precedence: the caller must not
+// release anything the journal could not record.
+func (s *Store) Step(user string, fn func(*Tx) error) error {
+	if err := s.checkMutation(user); err != nil {
+		return err
+	}
+	sh := s.shard(user)
+	sh.mu.Lock()
+	l := sh.steps[user]
+	if l == nil {
+		l = &stepLock{}
+		sh.steps[user] = l
+	}
+	l.refs++
+	sh.mu.Unlock()
+	l.mu.Lock()
+
+	tx := &Tx{s: s, sh: sh, user: user}
+	ferr := fn(tx)
+
+	sh.mu.Lock()
+	t, jerr := tx.commitLocked()
+	if l.refs--; l.refs == 0 {
+		delete(sh.steps, user)
+	}
+	sh.mu.Unlock()
+	l.mu.Unlock()
+	if jerr = s.settle(t, jerr); jerr != nil {
+		return jerr
+	}
+	return ferr
+}
+
+// commitLocked journals the user's state if the transaction changed it.
+// Caller holds tx.sh.mu.
+func (tx *Tx) commitLocked() (uint64, error) {
+	if !tx.touched {
+		return 0, nil
+	}
+	e := tx.sh.users[tx.user]
+	if e == nil || *e == tx.before {
+		// Evicted (nothing left to remember) or a net-zero step whose entry
+		// nobody else journaled meanwhile (seq unchanged).
+		return 0, nil
+	}
+	return tx.s.logLocked(tx.user, e, tx.s.now())
 }
 
 // evictableLocked reports whether an entry is garbage: its window has fully
@@ -435,8 +628,8 @@ func (s *Store) exportOwned() []State {
 // imported entries.
 func (s *Store) Replace(states []State) error {
 	for _, st := range states {
-		if st.User == "" {
-			return fmt.Errorf("session: import: empty user ID")
+		if err := s.checkMutation(st.User); err != nil {
+			return fmt.Errorf("session: import: %w", err)
 		}
 		if st.Spent < 0 {
 			return fmt.Errorf("session: import: invalid entry for user %q", st.User)
@@ -457,13 +650,16 @@ func (s *Store) Replace(states []State) error {
 			windowStart: st.WindowStart,
 			hasMemo:     st.HasMemo,
 			memo:        st.Memo,
-			seq:         s.seq.Add(1),
 		}
 		sh.users[st.User] = e
-		s.logLocked(st.User, e, now)
+		_, err := s.logLocked(st.User, e, now)
 		sh.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("session: import: %w", err)
+		}
 	}
 	if s.j != nil {
+		// The compaction's rotation fsyncs every record written above.
 		if err := s.j.compact(s.exportOwned); err != nil {
 			return fmt.Errorf("session: import compact: %w", err)
 		}
@@ -493,8 +689,8 @@ func (s *Store) maybeCompact() {
 	}()
 }
 
-// Sync forces an fsync of the journal segment (no-op for memory-only
-// stores).
+// Sync makes every journal record written so far durable, fsyncing if any
+// is not yet (no-op for memory-only stores).
 func (s *Store) Sync() error {
 	if s.j == nil {
 		return nil
@@ -512,7 +708,9 @@ func (s *Store) Compact() error {
 }
 
 // Close compacts one final time and closes the journal. The store remains
-// readable afterwards but further mutations will not be persisted.
+// readable afterwards, and further mutations are applied in memory only
+// (counted in the journal's failures). A failed journal is closed without
+// another fsync and Close returns its failure.
 func (s *Store) Close() error {
 	if s.j == nil {
 		return nil
@@ -525,7 +723,16 @@ func (s *Store) Close() error {
 	return err
 }
 
-// JournalStats exposes the journal counters when durability is enabled.
+// Err returns the latched journal failure (wrapping ErrJournalFailed), or
+// nil while the store accepts mutations. Memory-only stores never fail.
+func (s *Store) Err() error {
+	if s.j == nil {
+		return nil
+	}
+	return s.j.failure()
+}
+
+// journalStats exposes the journal counters when durability is enabled.
 func (s *Store) journalStats() *JournalStats {
 	if s.j == nil {
 		return nil

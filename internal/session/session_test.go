@@ -43,6 +43,12 @@ func mustOpen(t *testing.T, cfg Config) *Store {
 	return s
 }
 
+// setMemo writes user's memo through a one-operation Step, the store's
+// only memo writer.
+func setMemo(s *Store, user string, p geo.Point) error {
+	return s.Step(user, func(tx *Tx) error { tx.SetMemo(p); return nil })
+}
+
 func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Config{Limit: 0, Window: time.Hour}); err == nil {
 		t.Error("zero limit accepted")
@@ -183,7 +189,7 @@ func TestIdleEntryGC(t *testing.T) {
 	if err := s.Spend("active", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	s.SetMemo("memoized", geo.Point{X: 1, Y: 2})
+	setMemo(s, "memoized", geo.Point{X: 1, Y: 2})
 	if got := s.Users(); got != 52 {
 		t.Fatalf("pre-GC Users() = %d, want 52", got)
 	}
@@ -242,10 +248,10 @@ func TestOpportunisticSweep(t *testing.T) {
 func TestMemoRoundTrip(t *testing.T) {
 	s := mustOpen(t, Config{Limit: 1, Window: time.Hour})
 	if _, ok := s.Memo("u"); ok {
-		t.Fatal("memo before SetMemo")
+		t.Fatal("memo before setMemo")
 	}
 	want := geo.Point{X: 3.5, Y: -1.25}
-	s.SetMemo("u", want)
+	setMemo(s, "u", want)
 	got, ok := s.Memo("u")
 	if !ok || got != want {
 		t.Fatalf("Memo = %v/%v, want %v/true", got, ok, want)
@@ -262,7 +268,7 @@ func TestExportReplace(t *testing.T) {
 	if err := s.Spend("a", 1.5); err != nil {
 		t.Fatal(err)
 	}
-	s.SetMemo("a", geo.Point{X: 7, Y: 8})
+	setMemo(s, "a", geo.Point{X: 7, Y: 8})
 	if err := s.Spend("b", 0.25); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +358,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 				case 2:
 					s.Refund(u, 0.5)
 				case 3:
-					s.SetMemo(u, geo.Point{X: float64(i), Y: float64(w)})
+					setMemo(s, u, geo.Point{X: float64(i), Y: float64(w)})
 					_, _ = s.Memo(u)
 				case 4:
 					if r := s.Remaining(u); r < 0 || r > s.Limit()+1e-9 {
