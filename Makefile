@@ -39,10 +39,13 @@ race:
 # lazy alias-table build across goroutines sharing one channel; the fabric
 # suites race tier promotion, hedged fetches, fault-injected backings and the
 # in-process fleet tests; the session Concurrent/Journal suites hammer
-# Spend/Refund/Save across shards while the journal appends and compacts.
+# Spend/Refund/Save across shards while the journal appends and compacts;
+# the ReportBatch suites race the pooled batch descent's chunked fan-out over
+# its shared stream and slot slices and pin its output to the per-point path,
+# and SearchCum pins the inline cumulative-row search to sort.SearchFloat64s.
 race-persist:
-	$(GO) test -race -count=2 -run 'Snapshot|DirCache|Backing|WarmRestart|CacheBytes|AliasSharing|LocalParallel|RelevanceDomain|Remote|Tiered|Ring|Fabric|Fleet|Concurrent|Journal|Rollover|Trace' \
-		./internal/channel ./internal/opt ./internal/fabric ./internal/session ./internal/server .
+	$(GO) test -race -count=2 -run 'Snapshot|DirCache|Backing|WarmRestart|CacheBytes|AliasSharing|LocalParallel|RelevanceDomain|Remote|Tiered|Ring|Fabric|Fleet|Concurrent|Journal|Rollover|Trace|ReportBatch|SearchCum' \
+		./internal/channel ./internal/opt ./internal/fabric ./internal/session ./internal/server ./internal/core .
 
 # Short native-fuzz pass over the two snapshot decode layers (the checksummed
 # frame in internal/channel and the channel payload codec in internal/opt).

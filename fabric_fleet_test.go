@@ -1,6 +1,8 @@
 package geoind_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -12,6 +14,8 @@ import (
 	"time"
 
 	"geoind"
+	"geoind/internal/channel"
+	"geoind/internal/core"
 	"geoind/internal/server"
 )
 
@@ -198,25 +202,38 @@ func TestFleetFlappingPeerSingleBudgetCharge(t *testing.T) {
 	}))
 	defer flap.Close()
 
-	selfLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer selfLn.Close()
-	self := "http://" + selfLn.Addr().String()
-
-	m, err := geoind.NewMSM(geoind.MSMConfig{
-		Eps: 0.8, Region: geoind.Square(20), Granularity: 3, Seed: 7,
-		Fabric: &geoind.FabricConfig{
-			Peers: []string{self, flap.URL}, Self: self,
-			HedgeDelay:   5 * time.Millisecond,
-			FetchTimeout: time.Second,
-			FetchRetries: 1,
-			FetchBackoff: time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Which channels the flapping peer owns depends on both random ports, so
+	// the report points come from the ring: re-listen until the peer owns a
+	// channel of the first two levels, then report where the descent is
+	// bound to touch one.
+	var (
+		m   *geoind.MSM
+		pts []geoind.Point
+	)
+	for attempt := 0; pts == nil; attempt++ {
+		if attempt == 32 {
+			t.Fatal("flapping peer owned no channel of the first two levels on any of 32 ports")
+		}
+		selfLn, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer selfLn.Close()
+		self := "http://" + selfLn.Addr().String()
+		m, err = geoind.NewMSM(geoind.MSMConfig{
+			Eps: 0.8, Region: geoind.Square(20), Granularity: 3, Seed: 7,
+			Fabric: &geoind.FabricConfig{
+				Peers: []string{self, flap.URL}, Self: self,
+				HedgeDelay:   5 * time.Millisecond,
+				FetchTimeout: time.Second,
+				FetchRetries: 1,
+				FetchBackoff: time.Millisecond,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = flapOwnedReportPoints(t, m, 20)
 	}
 	const limit = 100.0
 	ledger, err := server.NewLedger(limit, time.Hour, time.Now)
@@ -230,10 +247,9 @@ func TestFleetFlappingPeerSingleBudgetCharge(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	const reports = 20
-	for i := 0; i < reports; i++ {
-		x, y := float64(i)+0.5, float64(reports-i)-0.5
-		body := fmt.Sprintf(`{"user_id":"alice","x":%g,"y":%g}`, x, y)
+	reports := len(pts)
+	for i, p := range pts {
+		body := fmt.Sprintf(`{"user_id":"alice","x":%g,"y":%g}`, p.X, p.Y)
 		resp, err := http.Post(ts.URL+"/v1/report", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +260,7 @@ func TestFleetFlappingPeerSingleBudgetCharge(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	want := limit - reports*m.Epsilon()
+	want := limit - float64(reports)*m.Epsilon()
 	if got := ledger.Remaining("alice"); math.Abs(got-want) > 1e-9 {
 		t.Errorf("remaining budget %g, want %g: flapping remote changed the charge", got, want)
 	}
@@ -258,4 +274,55 @@ func TestFleetFlappingPeerSingleBudgetCharge(t *testing.T) {
 	if calls.Load() == 0 {
 		t.Error("flapping peer received no requests")
 	}
+}
+
+// flapOwnedReportPoints returns n report points whose descents touch a
+// channel m's replica does not own (in a two-replica fleet: one its peer
+// owns), or nil when the peer owns no channel of the first two levels. Every
+// report descends through the root channel, so when the peer owns it any
+// points do; otherwise the points cycle over the centres of the level-1 cells
+// whose channels the peer owns, where the root draw stays with probability
+// about rho. The channel keys are enumerated by a fabric-free twin of m's
+// configuration, whose precompute asks its Owns hook about every key.
+func flapOwnedReportPoints(t *testing.T, m *geoind.MSM, n int) []geoind.Point {
+	t.Helper()
+	var keys []channel.Key
+	twin, err := core.New(core.Config{
+		Eps: 0.8, G: 3, Region: geoind.Square(20),
+		Owns: func(k channel.Key) bool {
+			keys = append(keys, k)
+			return false
+		},
+	}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	// The twin must derive m's keys: m rejects a foreign key as unknown.
+	if _, err := m.ChannelSnapshot(context.Background(), keys[0], false); !errors.Is(err, channel.ErrNotCached) {
+		t.Fatalf("twin root key %v: snapshot err %v, want ErrNotCached", keys[0], err)
+	}
+	var pts []geoind.Point
+	for _, k := range keys {
+		switch {
+		case m.OwnsChannel(k) || k.Level > 1:
+		case k.Level == 0:
+			pts = nil
+			for i := 0; i < n; i++ {
+				pts = append(pts, geoind.Point{X: float64(i) + 0.5, Y: float64(n-i) - 0.5})
+			}
+			return pts
+		default:
+			pts = append(pts, twin.Hierarchy().LevelGrid(1).Center(k.Cell))
+		}
+	}
+	if len(pts) == 0 {
+		return nil
+	}
+	for i := len(pts); i < n; i++ {
+		pts = append(pts, pts[i%len(pts)])
+	}
+	return pts
 }

@@ -313,6 +313,13 @@ func (s *Store) GetOrComputeCtx(ctx context.Context, key Key, solve func(ctx con
 		sh.mu.Unlock()
 		return s.wait(ctx, sh, key, e, true)
 	}
+	// A caller whose context is already dead starts no flight: otherwise a
+	// fast solve could settle before wait observes the cancel, and the solve
+	// would be burned (and the result returned) for a canceled request.
+	if err := ctx.Err(); err != nil {
+		sh.mu.Unlock()
+		return nil, false, err
+	}
 	// Admission control: reserve a solve slot — or a bounded queue position —
 	// before the flight exists, so an overloaded store rejects in O(1)
 	// without allocating an entry or spawning a goroutine. Only genuinely new
@@ -432,10 +439,13 @@ func (s *Store) runSolve(ctx context.Context, sh *shard, key Key, e *entry, solv
 			}()
 		}
 	}
-	close(e.done)
+	// Evict before publishing done, so no caller can return from
+	// GetOrComputeCtx while the store is over MaxCost. The entry itself is
+	// still in flight here, so eviction never picks it.
 	if keep && s.maxCost > 0 && total > s.maxCost {
 		s.evict(total - s.maxCost)
 	}
+	close(e.done)
 }
 
 // settleFailed publishes a failed flight: counts the cancellation, unmaps

@@ -179,6 +179,9 @@ type Mechanism struct {
 
 	rng   *rand.Rand
 	rngMu sync.Mutex // guards rng for sequential-mode Report
+
+	levelOff []int     // start of each level's cells in a batch slot index; last entry is the total
+	slotPool sync.Pool // *[]int32 batch slot indexes, all zero while pooled
 }
 
 // New builds an MSM mechanism: it runs the budget allocation of §5 to fix
@@ -291,6 +294,10 @@ func New(cfg Config, seed uint64) (*Mechanism, error) {
 	}
 	if m.store == nil {
 		m.store = channel.New(channel.Options{})
+	}
+	m.levelOff = make([]int, alloc.Height()+1)
+	for level := 0; level < alloc.Height(); level++ {
+		m.levelOff[level+1] = m.levelOff[level] + m.levelCells(level)
 	}
 	// Fingerprint everything the per-key fields don't already capture:
 	// geometry, fanout, height and the exact leaf prior.
@@ -665,9 +672,10 @@ func (m *Mechanism) ReportBatch(xs []geo.Point) ([]geo.Point, error) {
 }
 
 // ReportBatchCtx is ReportBatch under a context: the pooled fan-out polls
-// ctx before every per-point step, so a cancel drains the workers promptly
-// and the call returns ctx.Err(). When ctx is never canceled the output is
-// bit-identical to ReportBatch (the polls consume no randomness).
+// ctx once per chunk of points (the sequential path every 32 points), so a
+// cancel drains the workers promptly and the call returns ctx.Err(). When
+// ctx is never canceled the output is bit-identical to ReportBatch (the
+// polls consume no randomness).
 func (m *Mechanism) ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.Point, error) {
 	m.queries.Add(int64(len(xs)))
 	out := make([]geo.Point, len(xs))
@@ -684,72 +692,114 @@ func (m *Mechanism) ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.P
 		return out, nil
 	}
 	base := m.queryIdx.Add(uint64(len(xs))) - uint64(len(xs))
-	if len(xs) == 1 {
-		rng := rand.New(rand.NewPCG(m.seed, reportStreamSalt^base))
-		z, err := m.reportWithCtx(ctx, xs[0], rng)
-		if err != nil {
-			return nil, err
-		}
-		out[0] = z
-		return out, nil
-	}
 	if err := m.reportBatchLevels(ctx, xs, out, base, workers); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// batchChunk is the number of consecutive points one worker claims at a
+// time in the pooled batch descent: large enough that the shared claim
+// counter and the ctx poll vanish from the per-point cost, small enough that
+// a 1k-point batch still spreads over 16 claims.
+const batchChunk = 64
+
+// batchSlot is one (level, parent cell) a batch descends through: its
+// subgrid and the sampler of its channel, acquired once per batch. pos is
+// the slot's entry in the mechanism's slot index.
+type batchSlot struct {
+	pos     int
+	sub     *grid.Grid
+	sampler opt.Sampler
+}
+
+// acquire fetches the slot's channel and subgrid and resolves its sampler.
+func (m *Mechanism) acquire(ctx context.Context, s *batchSlot, level, parent int) error {
+	ch, err := m.channel(ctx, level, parent)
+	if err != nil {
+		return err
+	}
+	s.sub = m.hier.SubGrid(level, parent)
+	s.sampler = ch.Sampler(m.cfg.Sampler)
+	return nil
+}
+
+// getSlotIndex borrows a slot index: one int32 per (level, parent cell) of
+// the whole hierarchy, level l starting at levelOff[l], holding slot+1 for a
+// cell the batch has acquired and 0 otherwise. Indexes are pooled and come
+// back all zero (putSlotIndex clears exactly the entries a batch set), so a
+// small batch over a deep hierarchy never pays to clear the untouched cells.
+func (m *Mechanism) getSlotIndex() *[]int32 {
+	if idx, ok := m.slotPool.Get().(*[]int32); ok {
+		return idx
+	}
+	idx := make([]int32, m.levelOff[m.Height()])
+	return &idx
+}
+
+// putSlotIndex zeroes the entries of slots and returns idx to the pool.
+func (m *Mechanism) putSlotIndex(idx *[]int32, slots []batchSlot) {
+	for _, s := range slots {
+		(*idx)[s.pos] = 0
+	}
+	m.slotPool.Put(idx)
+}
+
 // reportBatchLevels is the pooled Workers>1 batch descent. Per level it
-// resolves the distinct parent cells across the batch, acquires each one's
-// channel and subgrid once, and then advances every point one step in
-// parallel. Each point consumes its own PCG stream in the same order a
-// per-point ReportCell descent would, so outputs are bit-identical to the
-// per-point path for any worker count.
+// assigns the batch's distinct parent cells dense slots, acquires each
+// slot's channel, subgrid and sampler once, and then advances every point
+// one step, fanning contiguous chunks of batchChunk points across the
+// workers. Point i draws from its own PCG stream (query index base+i) in the
+// same order a per-point ReportCell descent would, so outputs are
+// bit-identical to the per-point path for any worker count. The streams and
+// generators live in two per-batch value slices, so the descent allocates
+// per batch, not per point.
 func (m *Mechanism) reportBatchLevels(ctx context.Context, xs, out []geo.Point, base uint64, workers int) error {
 	n := len(xs)
-	rngs := make([]*rand.Rand, n)
-	parents := make([]int, n) // level-0 parent is the virtual root, index 0
+	pcgs := make([]rand.PCG, n)
+	rngs := make([]rand.Rand, n)
 	clamped := make([]geo.Point, n)
-	for i, x := range xs {
-		rngs[i] = rand.New(rand.NewPCG(m.seed, reportStreamSalt^(base+uint64(i))))
-		clamped[i] = m.cfg.Region.Clamp(x)
-	}
+	parents := make([]int, n) // level-0 parent is the virtual root, index 0
+	idxp := m.getSlotIndex()
+	idx := *idxp
+	var slots []batchSlot
+	defer func() { m.putSlotIndex(idxp, slots) }()
+	chunks := (n + batchChunk - 1) / batchChunk
 	for level := 0; level < m.Height(); level++ {
-		// Distinct parents in first-appearance order; slot maps a parent to
-		// its channel/subgrid index. The map is read-only during the fan-out.
-		slot := make(map[int]int)
-		var order []int
+		first := len(slots)
+		off := m.levelOff[level]
 		for _, p := range parents {
-			if _, ok := slot[p]; !ok {
-				slot[p] = len(order)
-				order = append(order, p)
+			if idx[off+p] == 0 {
+				slots = append(slots, batchSlot{pos: off + p})
+				idx[off+p] = int32(len(slots))
 			}
 		}
-		chs := make([]*opt.Channel, len(order))
-		subs := make([]*grid.Grid, len(order))
-		level := level
-		if err := channel.ForEachCtx(ctx, workers, len(order), func(j int) error {
-			ch, err := m.channel(ctx, level, order[j])
-			if err != nil {
-				return err
-			}
-			chs[j] = ch
-			subs[j] = m.hier.SubGrid(level, order[j])
-			return nil
+		cur := slots[first:] // this level's slots, just appended
+		if err := channel.ForEachCtx(ctx, workers, len(cur), func(j int) error {
+			return m.acquire(ctx, &cur[j], level, cur[j].pos-off)
 		}); err != nil {
 			return err
 		}
-		if err := channel.ForEachCtx(ctx, workers, n, func(i int) error {
-			j := slot[parents[i]]
-			sub := subs[j]
-			// Algorithm 1 line 10: points outside the selected subdomain
-			// substitute a uniformly random logical location.
-			xLocal, ok := sub.CellIndex(clamped[i])
-			if !ok {
-				xLocal = rngs[i].IntN(sub.NumCells())
+		if err := channel.ForEachCtx(ctx, workers, chunks, func(c int) error {
+			lo, hi := c*batchChunk, min((c+1)*batchChunk, n)
+			if level == 0 {
+				for i := lo; i < hi; i++ {
+					pcgs[i].Seed(m.seed, reportStreamSalt^(base+uint64(i)))
+					rngs[i] = *rand.New(&pcgs[i])
+					clamped[i] = m.cfg.Region.Clamp(xs[i])
+				}
 			}
-			zLocal := m.sample(chs[j], xLocal, rngs[i])
-			parents[i] = m.hier.ChildIndex(level, parents[i], zLocal)
+			for i := lo; i < hi; i++ {
+				s := &slots[idx[off+parents[i]]-1]
+				rng := &rngs[i]
+				// Algorithm 1 line 10: points outside the selected subdomain
+				// substitute a uniformly random logical location.
+				xLocal, ok := s.sub.CellIndex(clamped[i])
+				if !ok {
+					xLocal = rng.IntN(s.sub.NumCells())
+				}
+				parents[i] = m.hier.ChildIndex(level, parents[i], s.sampler.Sample(xLocal, rng))
+			}
 			return nil
 		}); err != nil {
 			return err
@@ -762,21 +812,19 @@ func (m *Mechanism) reportBatchLevels(ctx context.Context, xs, out []geo.Point, 
 	return nil
 }
 
-// batchChan is one memoized (channel, subgrid) pair of a batch descent.
-type batchChan struct {
-	ch  *opt.Channel
-	sub *grid.Grid
-}
-
 // reportBatchSeq runs the sequential batch descent: points in input order,
 // every sample drawn from rng, so the output is bit-identical to a ReportWith
 // loop. The only difference from the loop is that each (level, parent)
-// channel and subgrid is acquired once per batch and memoized locally — the
-// acquisition consumes no randomness, so the draw stream is unchanged. (With
-// DisableCache this means one solve per distinct subdomain per batch rather
-// than one per point: a batch acquires each channel once by contract.)
+// channel, subgrid and sampler is acquired once per batch, on first use, into
+// a slot of the mechanism's slot index — the acquisition consumes no
+// randomness, so the draw stream is unchanged. (With DisableCache this means
+// one solve per distinct subdomain per batch rather than one per point: a
+// batch acquires each channel once by contract.)
 func (m *Mechanism) reportBatchSeq(ctx context.Context, xs, out []geo.Point, rng *rand.Rand) error {
-	cache := make(map[uint64]batchChan)
+	idxp := m.getSlotIndex()
+	idx := *idxp
+	var slots []batchSlot
+	defer func() { m.putSlotIndex(idxp, slots) }()
 	leaf := m.LeafGrid()
 	h := m.Height()
 	cancelable := ctx.Done() != nil
@@ -792,24 +840,22 @@ func (m *Mechanism) reportBatchSeq(ctx context.Context, xs, out []geo.Point, rng
 		x = m.cfg.Region.Clamp(x)
 		parent := 0 // virtual root
 		for level := 0; level < h; level++ {
-			key := uint64(level)<<32 | uint64(uint32(parent))
-			bc, ok := cache[key]
-			if !ok {
-				ch, err := m.channel(ctx, level, parent)
-				if err != nil {
+			pos := m.levelOff[level] + parent
+			if idx[pos] == 0 {
+				slots = append(slots, batchSlot{pos: pos})
+				if err := m.acquire(ctx, &slots[len(slots)-1], level, parent); err != nil {
 					return err
 				}
-				bc = batchChan{ch: ch, sub: m.hier.SubGrid(level, parent)}
-				cache[key] = bc
+				idx[pos] = int32(len(slots))
 			}
+			s := &slots[idx[pos]-1]
 			// Algorithm 1 line 10: points outside the selected subdomain
 			// substitute a uniformly random logical location.
-			xLocal, inSub := bc.sub.CellIndex(x)
+			xLocal, inSub := s.sub.CellIndex(x)
 			if !inSub {
-				xLocal = rng.IntN(bc.sub.NumCells())
+				xLocal = rng.IntN(s.sub.NumCells())
 			}
-			zLocal := m.sample(bc.ch, xLocal, rng)
-			parent = m.hier.ChildIndex(level, parent, zLocal)
+			parent = m.hier.ChildIndex(level, parent, s.sampler.Sample(xLocal, rng))
 		}
 		out[i] = leaf.Center(parent)
 	}

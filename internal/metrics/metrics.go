@@ -226,11 +226,11 @@ func renderLabels(ls Labels) string {
 	return b.String()
 }
 
-// escapeLabel applies the exposition-format label escaping rules.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper applies the exposition-format label escaping rules.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// escapeLabel escapes one label value.
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 func (r *Registry) familyFor(name, help string, k kind) *family {
 	f, ok := r.byName[name]

@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 )
 
 // Warm-path sampling is abstracted behind Sampler so the serving layers can
@@ -65,19 +64,26 @@ type Sampler interface {
 	Sample(x int, rng *rand.Rand) int
 }
 
-// searchCum locates u in a cumulative row by binary search, clamping the
-// not-found edge case (u beyond the last entry, possible through float
-// rounding) onto the last index.
+// searchCum locates u in a cumulative row by binary search: the smallest i
+// with row[i] >= u, with the not-found edge case (u beyond the last entry,
+// possible through float rounding) clamped onto the last index. It is
+// sort.SearchFloat64s plus that clamp, written inline because the call
+// through sort.Search's predicate closure dominated the warm draw.
 func searchCum(row []float64, u float64) int {
-	z := sort.SearchFloat64s(row, u)
-	if z >= len(row) {
-		z = len(row) - 1
+	lo, hi := 0, len(row)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if !(row[mid] >= u) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return z
+	return lo
 }
 
 // sampleCumRow draws an index from one cumulative row: the single shared
-// implementation of the clamp + sort.SearchFloat64s sampling step that
+// implementation of the clamped binary-search sampling step that
 // Channel and PointChannel previously duplicated. Scaling the uniform draw
 // by the final entry (≈1) keeps the draw stream bit-identical to the
 // historical code for any row whose sum deviates from 1 in the last ulp.

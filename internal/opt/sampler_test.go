@@ -36,6 +36,50 @@ func expMechChannel(t testing.TB, granularity int, eps float64) *Channel {
 	return ch
 }
 
+// TestSearchCumMatchesSortSearch pins the inline binary search to its
+// contract, sort.SearchFloat64s clamped onto the last index, on random rows
+// and on tie-heavy rows (runs of equal prefix sums, as zero-probability
+// cells produce), probing every entry exactly, the midpoints between
+// entries, points below the first and beyond the last entry, and NaN.
+func TestSearchCumMatchesSortSearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 37))
+	check := func(row []float64, u float64) {
+		t.Helper()
+		want := sort.SearchFloat64s(row, u)
+		if want >= len(row) {
+			want = len(row) - 1
+		}
+		if got := searchCum(row, u); got != want {
+			t.Fatalf("searchCum(%v, %v) = %d, want %d", row, u, got, want)
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.IntN(40)
+		row := make([]float64, n)
+		acc := 0.0
+		tieHeavy := trial%2 == 1
+		for i := range row {
+			if !tieHeavy || rng.IntN(3) == 0 {
+				acc += rng.Float64()
+			}
+			row[i] = acc
+		}
+		for i, v := range row {
+			check(row, v)
+			check(row, math.Nextafter(v, math.Inf(1)))
+			if i > 0 {
+				check(row, (row[i-1]+v)/2)
+			}
+		}
+		check(row, -1)
+		check(row, 0)
+		check(row, row[n-1]*(1+1e-12)+1e-300)
+		check(row, math.Inf(1))
+		check(row, math.NaN())
+		check(row, rng.Float64()*row[n-1])
+	}
+}
+
 // TestSampleCumRowBitCompat pins the shared cum-row helper (and therefore
 // SampleIndex and Sampler(SamplerCum)) to the historical draw stream: one
 // rng.Float64() scaled by the final cumulative entry, sort.SearchFloat64s,

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"maps"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"geoind/internal/channel"
@@ -27,9 +30,9 @@ var latencyBuckets = []float64{
 type serverMetrics struct {
 	reg *metrics.Registry
 
-	// requests/errors are labeled per endpoint and status code at response
-	// time; latency is one histogram per endpoint.
-	requests func(endpoint, code string) *metrics.Counter
+	// requests are labeled per endpoint and status code at response time;
+	// latency is one histogram per endpoint.
+	requests map[string]*requestCounters
 	latency  map[string]*metrics.Histogram
 
 	budgetCharges *metrics.Counter
@@ -55,15 +58,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 	mech := s.mech
 	reg := metrics.NewRegistry()
 	m := &serverMetrics{
-		reg:     reg,
-		latency: make(map[string]*metrics.Histogram, len(instrumentedEndpoints)),
-	}
-	m.requests = func(endpoint, code string) *metrics.Counter {
-		return reg.Counter("geoind_requests_total",
-			"HTTP requests served, by endpoint and status code.",
-			metrics.Labels{"endpoint": endpoint, "code": code})
+		reg:      reg,
+		requests: make(map[string]*requestCounters, len(instrumentedEndpoints)),
+		latency:  make(map[string]*metrics.Histogram, len(instrumentedEndpoints)),
 	}
 	for _, ep := range instrumentedEndpoints {
+		m.requests[ep] = newRequestCounters(reg, ep)
 		m.latency[ep] = reg.Histogram("geoind_request_duration_seconds",
 			"Request latency by endpoint.",
 			metrics.Labels{"endpoint": ep}, latencyBuckets)
@@ -290,13 +290,52 @@ func (r *statusRecorder) WriteHeader(code int) {
 // budget accounting and mechanism work — which is what a client experiences.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.metrics.latency[endpoint]
+	requests := s.metrics.requests[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h(rec, r)
 		hist.Observe(time.Since(start).Seconds())
-		s.metrics.requests(endpoint, statusText(rec.status)).Inc()
+		requests.get(rec.status).Inc()
 	}
+}
+
+// requestCounters caches one endpoint's geoind_requests_total series by
+// status code. A series is registered on the first response with its code,
+// exactly when an uncached registry lookup would have created it, so
+// /metrics output is unchanged; every later response reads a copy-on-write
+// map without building labels or taking the registry lock.
+type requestCounters struct {
+	reg      *metrics.Registry
+	endpoint string
+	mu       sync.Mutex // serializes registrations
+	byCode   atomic.Pointer[map[int]*metrics.Counter]
+}
+
+func newRequestCounters(reg *metrics.Registry, endpoint string) *requestCounters {
+	rc := &requestCounters{reg: reg, endpoint: endpoint}
+	rc.byCode.Store(&map[int]*metrics.Counter{})
+	return rc
+}
+
+// get returns the counter for status code, registering it on first use.
+func (rc *requestCounters) get(code int) *metrics.Counter {
+	if c, ok := (*rc.byCode.Load())[code]; ok {
+		return c
+	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	cur := *rc.byCode.Load()
+	if c, ok := cur[code]; ok {
+		return c
+	}
+	c := rc.reg.Counter("geoind_requests_total",
+		"HTTP requests served, by endpoint and status code.",
+		metrics.Labels{"endpoint": rc.endpoint, "code": statusText(code)})
+	next := maps.Clone(cur)
+	next[code] = c
+	rc.byCode.Store(&next)
+	return c
 }
 
 // statusText renders a status code as its metric label.

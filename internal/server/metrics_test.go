@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -249,5 +250,39 @@ func TestStatsExposeAdmissionCounters(t *testing.T) {
 	}
 	if out.ChannelCache.SolveRejected != 11 {
 		t.Errorf("solve_rejected = %d, want 11", out.ChannelCache.SolveRejected)
+	}
+}
+
+// TestRequestCountersRegisterOnce: concurrent first responses with the same
+// status code share one registry series, the same one an uncached lookup
+// returns, and a code never seen registers no series.
+func TestRequestCountersRegisterOnce(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rc := newRequestCounters(reg, "/v1/report")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				rc.get(http.StatusOK).Inc()
+				rc.get(http.StatusTooManyRequests).Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, code := range []string{"200", "429"} {
+		c := reg.Counter("geoind_requests_total", "HTTP requests served, by endpoint and status code.",
+			metrics.Labels{"endpoint": "/v1/report", "code": code})
+		if got := c.Value(); got != 800 {
+			t.Errorf("code %s: registry series counts %d, want 800", code, got)
+		}
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), "geoind_requests_total{"); n != 2 {
+		t.Errorf("%d geoind_requests_total series rendered, want 2:\n%s", n, b.String())
 	}
 }
