@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race race-persist fuzz-short bench-smoke bench-json bench-ctx bench-sample bench-local bench-load bench-fabric bench-trace bench-diff load-smoke fleet-smoke trace-smoke
+.PHONY: ci fmt-check vet build test race race-persist experiments-check fuzz-short bench-smoke bench-json bench-ctx bench-sample bench-local bench-load bench-fabric bench-trace bench-diff load-smoke fleet-smoke trace-smoke
 
-ci: fmt-check vet build race race-persist bench-smoke load-smoke fleet-smoke trace-smoke
+ci: fmt-check vet build race race-persist experiments-check bench-smoke load-smoke fleet-smoke trace-smoke
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -41,11 +41,26 @@ race:
 # in-process fleet tests; the session Concurrent/Journal suites hammer
 # Spend/Refund/Save across shards while the journal appends and compacts;
 # the ReportBatch suites race the pooled batch descent's chunked fan-out over
-# its shared stream and slot slices and pin its output to the per-point path,
-# and SearchCum pins the inline cumulative-row search to sort.SearchFloat64s.
+# its shared stream and slot slices and pin its output to the per-point path
+# (in internal/core, and in internal/adaptive, where the workers share one
+# per-batch sampler memo), and SearchCum pins the inline cumulative-row
+# search to sort.SearchFloat64s.
 race-persist:
 	$(GO) test -race -count=2 -run 'Snapshot|DirCache|Backing|WarmRestart|CacheBytes|AliasSharing|LocalParallel|RelevanceDomain|Remote|Tiered|Ring|Fabric|Fleet|Concurrent|Journal|Rollover|Trace|ReportBatch|SearchCum' \
-		./internal/channel ./internal/opt ./internal/fabric ./internal/session ./internal/server ./internal/core .
+		./internal/channel ./internal/opt ./internal/fabric ./internal/session ./internal/server ./internal/core ./internal/adaptive .
+
+# Regenerate the seeded tables of six experiments (a few seconds in all) and
+# fail when any table row of the output is not in EXPERIMENTS.md verbatim:
+# refactors must leave the documented figures unchanged.
+experiments-check:
+	@out=$$($(GO) run ./cmd/experiments -format markdown fig6 fig7 fig10 audit ablation adaptive) || exit 1; \
+	rows=$$(printf '%s\n' "$$out" | grep '^|'); \
+	if [ -z "$$rows" ]; then echo "experiments-check: no table rows generated"; exit 1; fi; \
+	stale=$$(printf '%s\n' "$$rows" | grep -vxFf EXPERIMENTS.md); \
+	if [ -n "$$stale" ]; then \
+		echo "experiments-check: regenerated rows missing from EXPERIMENTS.md:"; echo "$$stale"; exit 1; \
+	fi; \
+	echo "experiments-check: $$(printf '%s\n' "$$rows" | wc -l) table rows match EXPERIMENTS.md"
 
 # Short native-fuzz pass over the two snapshot decode layers (the checksummed
 # frame in internal/channel and the channel payload codec in internal/opt).

@@ -105,7 +105,7 @@ func NewAdaptiveMSM(cfg AdaptiveMSMConfig) (*AdaptiveMSM, error) {
 }
 
 // Report implements Mechanism.
-func (a *AdaptiveMSM) Report(x Point) (Point, error) { return a.m.Report(x) }
+func (a *AdaptiveMSM) Report(x Point) (Point, error) { return a.m.ReportCtx(context.Background(), x) }
 
 // ReportCtx implements MechanismCtx: canceling ctx aborts an in-flight cold
 // report promptly (abandoning shared node solves, not killing them while
@@ -119,7 +119,7 @@ func (a *AdaptiveMSM) ReportCtx(ctx context.Context, x Point) (Point, error) {
 // worker pool. Results come back in input order, identical to a sequential
 // Report loop for the same seed and arrival order at any worker count.
 func (a *AdaptiveMSM) ReportBatch(points []Point) ([]Point, error) {
-	return a.m.ReportBatch(points)
+	return a.m.ReportBatchCtx(context.Background(), points)
 }
 
 // ReportBatchCtx implements BatchMechanismCtx: a cancel drains the pooled
@@ -135,7 +135,7 @@ func (a *AdaptiveMSM) Epsilon() float64 { return a.m.Epsilon() }
 func (a *AdaptiveMSM) Name() string { return "MSM-adaptive" }
 
 // Precompute eagerly solves every node channel.
-func (a *AdaptiveMSM) Precompute() error { return a.m.Precompute() }
+func (a *AdaptiveMSM) Precompute() error { return a.m.PrecomputeCtx(context.Background()) }
 
 // PrecomputeCtx is Precompute under a context: canceling ctx stops issuing
 // new solves and returns ctx.Err(); solved channels stay cached.

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -149,6 +150,23 @@ func TestAdaptiveCellsSmallerDowntown(t *testing.T) {
 	}
 }
 
+// pathBudget returns the total budget consumed along the root path of m's
+// tree leading to the leaf containing p.
+func pathBudget(m *Mechanism, p geo.Point) float64 {
+	p = m.cfg.Region.Clamp(p)
+	total := 0.0
+	node := m.Tree().Root
+	for node.Children != nil {
+		total += node.Eps
+		xi := node.ChildContaining(p)
+		if xi < 0 {
+			xi = 0
+		}
+		node = node.Children[xi]
+	}
+	return total
+}
+
 // TestPathBudgetConservation: every root-to-leaf path consumes exactly eps.
 func TestPathBudgetConservation(t *testing.T) {
 	pts := clusteredPoints(5000, 9)
@@ -162,7 +180,7 @@ func TestPathBudgetConservation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 3))
 	for i := 0; i < 200; i++ {
 		p := geo.Point{X: rng.Float64() * 20, Y: rng.Float64() * 20}
-		if got := m.PathBudget(p); math.Abs(got-0.7) > 1e-9 {
+		if got := pathBudget(m, p); math.Abs(got-0.7) > 1e-9 {
 			t.Fatalf("path through %v consumes %g, want 0.7", p, got)
 		}
 	}
@@ -203,8 +221,8 @@ func TestReportDeterministicAndInRegion(t *testing.T) {
 	region := geo.NewSquare(20)
 	for i := 0; i < 60; i++ {
 		x := pts[i%len(pts)]
-		z1, err1 := m1.Report(x)
-		z2, err2 := m2.Report(x)
+		z1, err1 := m1.ReportCtx(context.Background(), x)
+		z2, err2 := m2.ReportCtx(context.Background(), x)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -226,7 +244,7 @@ func TestPrecomputeAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Precompute(); err != nil {
+	if err := m.PrecomputeCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Stats()

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"context"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -53,7 +54,7 @@ func concurrentKD(t *testing.T, workers int, seed uint64) *Mechanism {
 	return m
 }
 
-func concurrentQuad(t *testing.T, workers int, seed uint64) *QuadMechanism {
+func concurrentQuad(t *testing.T, workers int, seed uint64) *Mechanism {
 	t.Helper()
 	m, err := NewQuad(QuadConfig{
 		Eps:         2.0,
@@ -78,10 +79,10 @@ func TestKDConcurrentSingleflight(t *testing.T) {
 	precompErr := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		precompErr <- m.Precompute()
+		precompErr <- m.PrecomputeCtx(context.Background())
 	}()
 	hammerReports(t, 15, func(x geo.Point) error {
-		_, err := m.Report(x)
+		_, err := m.ReportCtx(context.Background(), x)
 		return err
 	})
 	wg.Wait()
@@ -117,10 +118,10 @@ func TestQuadConcurrentSingleflight(t *testing.T) {
 	precompErr := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		precompErr <- m.Precompute()
+		precompErr <- m.PrecomputeCtx(context.Background())
 	}()
 	hammerReports(t, 15, func(x geo.Point) error {
-		_, err := m.Report(x)
+		_, err := m.ReportCtx(context.Background(), x)
 		return err
 	})
 	wg.Wait()
@@ -128,17 +129,17 @@ func TestQuadConcurrentSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := 0
-	var walk func(*quadNode)
-	walk = func(n *quadNode) {
-		if n.children == nil {
+	var walk func(*Node)
+	walk = func(n *Node) {
+		if n.Children == nil {
 			return
 		}
 		inner++
-		for _, c := range n.children {
+		for _, c := range n.Children {
 			walk(c)
 		}
 	}
-	walk(m.root)
+	walk(m.Tree().Root)
 	if got := m.Stats(); got != inner {
 		t.Errorf("solves = %d, want exactly one per inner node (%d)", got, inner)
 	}
@@ -159,7 +160,7 @@ func TestKDSequentialModeBitIdenticalToSeed(t *testing.T) {
 	inputs := rand.New(rand.NewPCG(3, 4))
 	for i := 0; i < 150; i++ {
 		x := geo.Point{X: inputs.Float64() * 20, Y: inputs.Float64() * 20}
-		got, err := m.Report(x)
+		got, err := m.ReportCtx(context.Background(), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestQuadSequentialModeBitIdenticalToSeed(t *testing.T) {
 	inputs := rand.New(rand.NewPCG(3, 4))
 	for i := 0; i < 150; i++ {
 		x := geo.Point{X: inputs.Float64() * 20, Y: inputs.Float64() * 20}
-		got, err := m.Report(x)
+		got, err := m.ReportCtx(context.Background(), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,16 +206,16 @@ func TestAdaptiveParallelModeDeterministic(t *testing.T) {
 	inputs := rand.New(rand.NewPCG(6, 7))
 	for i := 0; i < 150; i++ {
 		x := geo.Point{X: inputs.Float64() * 20, Y: inputs.Float64() * 20}
-		a1, err1 := kd1.Report(x)
-		a2, err2 := kd2.Report(x)
+		a1, err1 := kd1.ReportCtx(context.Background(), x)
+		a2, err2 := kd2.ReportCtx(context.Background(), x)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
 		if a1 != a2 {
 			t.Fatalf("kd report %d diverged: %v vs %v", i, a1, a2)
 		}
-		b1, err1 := q1.Report(x)
-		b2, err2 := q2.Report(x)
+		b1, err1 := q1.ReportCtx(context.Background(), x)
+		b2, err2 := q2.ReportCtx(context.Background(), x)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}

@@ -17,16 +17,20 @@ import (
 )
 
 // Store namespaces for the two adaptive index families sharing a channel
-// store, and the PCG stream salt of the lock-free sampling path (distinct
-// from internal/core's so per-query streams never overlap between
-// mechanisms built from one seed).
+// store, the PCG stream salt of the lock-free sampling path (distinct from
+// internal/core's so per-query streams never overlap between mechanisms
+// built from one seed), and the number of consecutive points one worker
+// claims at a time in the pooled batch descent.
 const (
 	kdNamespace      = "adaptive"
 	quadNamespace    = "quad"
 	reportStreamSalt = 0xbb67ae8584caa73b
+	batchChunk       = 64
 )
 
-// Config parameterizes the adaptive multi-step mechanism.
+// Config parameterizes the adaptive multi-step mechanism over the k-d tree
+// (New). NewQuad maps its QuadConfig onto the same fields, leaving Fanout and
+// Height, which only BuildTree reads, unset.
 type Config struct {
 	// Eps is the total privacy budget (> 0).
 	Eps float64
@@ -69,12 +73,15 @@ type Config struct {
 	PruneMass float64
 }
 
-// Mechanism is the adaptive multi-step mechanism.
+// Mechanism is the adaptive multi-step mechanism: Algorithm 1 over a tree
+// grown by one of the package's builders (New or NewQuad). The descent,
+// channel pipeline and batch paths are the same for every tree.
 type Mechanism struct {
 	cfg  Config
 	tree *Tree
 	fine *prior.Prior
 	seed uint64
+	ns   string // channel-store namespace of the tree family
 
 	store     *channel.Store
 	priorHash uint64
@@ -89,9 +96,16 @@ type Mechanism struct {
 	rngMu sync.Mutex
 }
 
-// New builds the adaptive mechanism: it constructs the fine prior, grows the
-// mass-balanced tree with per-node budget assignment, and prepares lazy
-// channel solving.
+// family is what tells the tree builders apart inside the one engine.
+type family struct {
+	ns   string          // channel-store namespace
+	salt uint64          // PCG salt of the shared sequential stream
+	hash *channel.Hasher // the builder's own parameters, already mixed in
+}
+
+// New builds the adaptive mechanism over a mass-balanced k-d tree
+// (BuildTree) with per-node budget assignment, and prepares lazy channel
+// solving.
 func New(cfg Config, seed uint64) (*Mechanism, error) {
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.8
@@ -102,6 +116,19 @@ func New(cfg Config, seed uint64) (*Mechanism, error) {
 	if cfg.PriorGranularity == 0 {
 		cfg.PriorGranularity = 128
 	}
+	h := channel.NewHasher()
+	h.Int(cfg.Fanout)
+	h.Int(cfg.Height)
+	return newMechanism(cfg, seed, family{ns: kdNamespace, salt: 0xada9717e, hash: h}, func(p *prior.Prior) (*Tree, error) {
+		return BuildTree(p, cfg.Eps, cfg.Fanout, cfg.Height, cfg.Rho)
+	})
+}
+
+// newMechanism is the constructor every builder shares: it validates the
+// common fields, builds the fine prior, grows the tree over it with build,
+// and finishes the family's prior hash with Rho, the region and the prior
+// weights. cfg carries its builder's defaults already.
+func newMechanism(cfg Config, seed uint64, fam family, build func(*prior.Prior) (*Tree, error)) (*Mechanism, error) {
 	if cfg.Region.Width() <= 0 || cfg.Region.Height() <= 0 {
 		return nil, fmt.Errorf("adaptive: degenerate region %v", cfg.Region)
 	}
@@ -121,7 +148,7 @@ func New(cfg Config, seed uint64) (*Mechanism, error) {
 	} else {
 		fine = prior.Uniform(fineGrid)
 	}
-	tree, err := BuildTree(fine, cfg.Eps, cfg.Fanout, cfg.Height, cfg.Rho)
+	tree, err := build(fine)
 	if err != nil {
 		return nil, err
 	}
@@ -130,15 +157,14 @@ func New(cfg Config, seed uint64) (*Mechanism, error) {
 		tree:  tree,
 		fine:  fine,
 		seed:  seed,
-		rng:   rand.New(rand.NewPCG(seed, 0xada9717e)),
+		ns:    fam.ns,
+		rng:   rand.New(rand.NewPCG(seed, fam.salt)),
 		store: cfg.Store,
 	}
 	if m.store == nil {
 		m.store = channel.New(channel.Options{})
 	}
-	h := channel.NewHasher()
-	h.Int(cfg.Fanout)
-	h.Int(cfg.Height)
+	h := fam.hash
 	h.Float64(cfg.Rho)
 	h.Float64(cfg.Region.MinX)
 	h.Float64(cfg.Region.MinY)
@@ -157,7 +183,8 @@ func New(cfg Config, seed uint64) (*Mechanism, error) {
 // Tree exposes the underlying partition (read-only).
 func (m *Mechanism) Tree() *Tree { return m.tree }
 
-// Epsilon returns the total budget.
+// Epsilon returns the total budget. Quadtree paths that end early (sparse
+// areas) spend less; unspent budget only strengthens privacy.
 func (m *Mechanism) Epsilon() float64 { return m.cfg.Eps }
 
 // Stats returns the number of LP solves performed so far (maintained
@@ -177,11 +204,6 @@ func (m *Mechanism) DirCacheStats() (channel.DirStats, bool) { return m.store.Ba
 // counters (channels compacted / dense fallbacks after a failed prune).
 func (m *Mechanism) SamplerInfo() (kind string, pruneMass float64, pruned, fallbacks int64) {
 	return m.cfg.Sampler.String(), m.cfg.PruneMass, m.prunedChannels.Load(), m.pruneFallbacks.Load()
-}
-
-// sample draws one descent step from ch with the configured sampler kind.
-func (m *Mechanism) sample(ch *opt.PointChannel, xi int, rng *rand.Rand) int {
-	return ch.Sampler(m.cfg.Sampler).Sample(xi, rng)
 }
 
 // SyncStore blocks until the store's write-behind persistence goroutines
@@ -204,7 +226,7 @@ func (m *Mechanism) lpOpts() *lp.IPMOptions {
 // channel returns the OPT channel of a node through the singleflight store:
 // concurrent requests for one node perform exactly one solve.
 func (m *Mechanism) channel(ctx context.Context, n *Node) (*opt.PointChannel, error) {
-	key := channel.NewKey(kdNamespace, 0, n.ID(), n.Eps, int(m.cfg.Metric), m.priorHash)
+	key := channel.NewKey(m.ns, 0, n.ID(), n.Eps, int(m.cfg.Metric), m.priorHash)
 	if m.variant != 0 {
 		key = key.WithVariant(m.variant)
 	}
@@ -253,124 +275,57 @@ func (m *Mechanism) solveChannel(ctx context.Context, n *Node) (*opt.PointChanne
 	return ch, nil
 }
 
-// Report sanitizes x with the mechanism's seeded randomness. Workers <= 1
-// reproduces the historical shared-RNG stream under a mutex; Workers > 1
-// gives each query its own PCG stream split by arrival index, so concurrent
-// reports never serialize on a lock.
-func (m *Mechanism) Report(x geo.Point) (geo.Point, error) {
-	return m.ReportCtx(context.Background(), x)
+// batchMemo holds, for one batch, the sampler of every inner node the batch
+// has resolved, indexed by Node.inner and shared by the batch's workers.
+// state[i] goes memoEmpty -> memoBusy -> memoReady exactly once; only the
+// worker that wins the first transition writes samplers[i], and readers
+// touch samplers[i] only after observing memoReady.
+type batchMemo struct {
+	state    []atomic.Uint32
+	samplers []opt.Sampler
 }
 
-// ReportCtx is Report under a context: canceling ctx aborts an in-flight
-// cold descent promptly (abandoning shared solves, not killing them while
-// other waiters remain). With a Background context the output stream is
-// bit-identical to Report.
-func (m *Mechanism) ReportCtx(ctx context.Context, x geo.Point) (geo.Point, error) {
-	if channel.Workers(m.cfg.Workers) <= 1 {
-		m.rngMu.Lock()
-		defer m.rngMu.Unlock()
-		return m.reportWithCtx(ctx, x, m.rng)
-	}
-	qi := m.queryIdx.Add(1) - 1
-	rng := rand.New(rand.NewPCG(m.seed, reportStreamSalt^qi))
-	return m.reportWithCtx(ctx, x, rng)
+const (
+	memoEmpty uint32 = iota
+	memoBusy
+	memoReady
+)
+
+func (m *Mechanism) newMemo() *batchMemo {
+	n := len(m.tree.inner)
+	return &batchMemo{state: make([]atomic.Uint32, n), samplers: make([]opt.Sampler, n)}
 }
 
-// ReportBatch sanitizes a slice of locations in one call and returns the
-// results in input order. Workers <= 1 holds the shared RNG mutex once for
-// the whole batch and processes points sequentially (bit-identical to a
-// Report loop); Workers > 1 reserves a contiguous block of query indices and
-// fans the points across the worker pool, each point drawing from the PCG
-// stream of its own index, so the output is independent of the worker count
-// and matches a sequential Report loop in the same arrival order.
-func (m *Mechanism) ReportBatch(xs []geo.Point) ([]geo.Point, error) {
-	return m.ReportBatchCtx(context.Background(), xs)
-}
-
-// ReportBatchCtx is ReportBatch under a context: the pooled fan-out polls
-// ctx before every point, so a cancel drains the workers promptly and the
-// call returns ctx.Err(). Uncanceled output is bit-identical to ReportBatch.
-func (m *Mechanism) ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.Point, error) {
-	out := make([]geo.Point, len(xs))
-	if len(xs) == 0 {
-		return out, nil
+// sampler resolves the sampler of inner node n: from memo when the batch
+// already holds it, otherwise through the channel store (publishing it to
+// memo, if any). A worker that finds the entry mid-publication resolves
+// through the store too: the singleflight store hands both the same channel.
+func (m *Mechanism) sampler(ctx context.Context, n *Node, memo *batchMemo) (opt.Sampler, error) {
+	if memo != nil && memo.state[n.inner].Load() == memoReady {
+		return memo.samplers[n.inner], nil
 	}
-	workers := channel.Workers(m.cfg.Workers)
-	if workers <= 1 {
-		m.rngMu.Lock()
-		defer m.rngMu.Unlock()
-		if err := m.reportBatchSeq(ctx, xs, out, m.rng); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	base := m.queryIdx.Add(uint64(len(xs))) - uint64(len(xs))
-	if err := channel.ForEachCtx(ctx, workers, len(xs), func(i int) error {
-		rng := rand.New(rand.NewPCG(m.seed, reportStreamSalt^(base+uint64(i))))
-		z, err := m.reportWithCtx(ctx, xs[i], rng)
-		if err != nil {
-			return err
-		}
-		out[i] = z
-		return nil
-	}); err != nil {
+	ch, err := m.channel(ctx, n)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// reportBatchSeq is the sequential batch descent: points in input order, all
-// samples drawn from rng, bit-identical to a ReportWith loop. Each inner
-// node's channel is fetched from the store once per batch and memoized by
-// node — the fetch consumes no randomness, so the draw stream is unchanged.
-func (m *Mechanism) reportBatchSeq(ctx context.Context, xs, out []geo.Point, rng *rand.Rand) error {
-	cache := make(map[*Node]*opt.PointChannel)
-	cancelable := ctx.Done() != nil
-	for i, x := range xs {
-		// Poll with a stride: one warm descent is a few hundred ns, so a
-		// 32-point stride still cancels within ~10µs while keeping the
-		// ctx.Err() cost off the per-point hot path.
-		if cancelable && i&31 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		x = m.cfg.Region.Clamp(x)
-		node := m.tree.Root
-		for node.Children != nil {
-			ch, ok := cache[node]
-			if !ok {
-				var err error
-				ch, err = m.channel(ctx, node)
-				if err != nil {
-					return err
-				}
-				cache[node] = ch
-			}
-			xi := node.ChildContaining(x)
-			if xi < 0 {
-				xi = rng.IntN(len(node.Children))
-			}
-			node = node.Children[m.sample(ch, xi, rng)]
-		}
-		out[i] = node.Rect.Center()
+	s := ch.Sampler(m.cfg.Sampler)
+	if memo != nil && memo.state[n.inner].CompareAndSwap(memoEmpty, memoBusy) {
+		memo.samplers[n.inner] = s
+		memo.state[n.inner].Store(memoReady)
 	}
-	return nil
+	return s, nil
 }
 
-// ReportWith descends the tree: at each inner node it runs the node's OPT
+// descend runs Algorithm 1 for x: at each inner node it runs the node's OPT
 // channel on x's child cell (or a uniformly random child when x lies outside
-// the node, as in Algorithm 1 line 10) and recurses into the selected child;
-// the final selected cell's center is reported.
-func (m *Mechanism) ReportWith(x geo.Point, rng *rand.Rand) (geo.Point, error) {
-	return m.reportWithCtx(context.Background(), x, rng)
-}
-
-func (m *Mechanism) reportWithCtx(ctx context.Context, x geo.Point, rng *rand.Rand) (geo.Point, error) {
+// the node, line 10) and moves into the drawn child; the final cell's center
+// is reported. Resolving a sampler consumes no randomness, so the draw
+// stream is the same with or without memo.
+func (m *Mechanism) descend(ctx context.Context, x geo.Point, rng *rand.Rand, memo *batchMemo) (geo.Point, error) {
 	x = m.cfg.Region.Clamp(x)
 	node := m.tree.Root
 	for node.Children != nil {
-		ch, err := m.channel(ctx, node)
+		s, err := m.sampler(ctx, node, memo)
 		if err != nil {
 			return geo.Point{}, err
 		}
@@ -378,55 +333,105 @@ func (m *Mechanism) reportWithCtx(ctx context.Context, x geo.Point, rng *rand.Ra
 		if xi < 0 {
 			xi = rng.IntN(len(node.Children))
 		}
-		node = node.Children[m.sample(ch, xi, rng)]
+		node = node.Children[s.Sample(xi, rng)]
 	}
 	return node.Rect.Center(), nil
 }
 
-// Precompute eagerly solves every inner node's channel, fanning the
-// independent solves out across up to Workers goroutines.
-func (m *Mechanism) Precompute() error {
-	return m.PrecomputeCtx(context.Background())
+// ReportCtx sanitizes x with the mechanism's seeded randomness. Workers <= 1
+// reproduces the historical shared-RNG stream under a mutex; Workers > 1
+// gives each query its own PCG stream split by arrival index, so concurrent
+// reports never serialize on a lock. Canceling ctx aborts an in-flight cold
+// descent promptly (abandoning shared solves, not killing them while other
+// waiters remain).
+func (m *Mechanism) ReportCtx(ctx context.Context, x geo.Point) (geo.Point, error) {
+	if channel.Workers(m.cfg.Workers) <= 1 {
+		m.rngMu.Lock()
+		defer m.rngMu.Unlock()
+		return m.descend(ctx, x, m.rng, nil)
+	}
+	qi := m.queryIdx.Add(1) - 1
+	return m.descend(ctx, x, rand.New(rand.NewPCG(m.seed, reportStreamSalt^qi)), nil)
 }
 
-// PrecomputeCtx is Precompute under a context: the fan-out polls ctx before
-// each solve and stops issuing new ones once canceled. Solved channels stay
-// in the store.
-func (m *Mechanism) PrecomputeCtx(ctx context.Context) error {
-	var inner []*Node
-	var walk func(*Node)
-	walk = func(n *Node) {
-		if n.Children == nil {
-			return
-		}
-		inner = append(inner, n)
-		for _, c := range n.Children {
-			walk(c)
-		}
+// ReportWith descends the tree drawing every sample from rng.
+func (m *Mechanism) ReportWith(x geo.Point, rng *rand.Rand) (geo.Point, error) {
+	return m.descend(context.Background(), x, rng, nil)
+}
+
+// ReportBatchCtx sanitizes a slice of locations in one call and returns the
+// results in input order, bit-identical to a ReportCtx loop in the same
+// arrival order. Each inner node's sampler is resolved once per batch.
+// Workers <= 1 holds the shared RNG mutex once and processes points
+// sequentially. Workers > 1 reserves a contiguous block of query indices and
+// fans chunks of batchChunk points across the worker pool, each point
+// drawing from the PCG stream of its own index, so the output is independent
+// of the worker count. A cancel is seen within 32 points sequentially and
+// at the next chunk claim when pooled; the call then returns ctx.Err().
+func (m *Mechanism) ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.Point, error) {
+	out := make([]geo.Point, len(xs))
+	if len(xs) == 0 {
+		return out, nil
 	}
-	walk(m.tree.Root)
+	memo := m.newMemo()
+	workers := channel.Workers(m.cfg.Workers)
+	if workers <= 1 {
+		m.rngMu.Lock()
+		defer m.rngMu.Unlock()
+		cancelable := ctx.Done() != nil
+		for i, x := range xs {
+			// Poll with a stride: one warm descent is a few hundred ns, so a
+			// 32-point stride still cancels within ~10µs while keeping the
+			// ctx.Err() cost off the per-point hot path.
+			if cancelable && i&31 == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			z, err := m.descend(ctx, x, m.rng, memo)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = z
+		}
+		return out, nil
+	}
+	n := uint64(len(xs))
+	base := m.queryIdx.Add(n) - n
+	// One stream and generator per chunk, re-seeded per point: a PCG seeded
+	// in place draws exactly what a fresh rand.NewPCG would, and a chunk
+	// belongs to one worker, so the descent allocates per batch, not per
+	// point.
+	chunks := (len(xs) + batchChunk - 1) / batchChunk
+	pcgs := make([]rand.PCG, chunks)
+	rngs := make([]rand.Rand, chunks)
+	if err := channel.ForEachCtx(ctx, workers, chunks, func(c int) error {
+		rngs[c] = *rand.New(&pcgs[c])
+		for i := c * batchChunk; i < min((c+1)*batchChunk, len(xs)); i++ {
+			pcgs[c].Seed(m.seed, reportStreamSalt^(base+uint64(i)))
+			z, err := m.descend(ctx, xs[i], &rngs[c], memo)
+			if err != nil {
+				return err
+			}
+			out[i] = z
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// PrecomputeCtx eagerly solves every inner node's channel, fanning the
+// independent solves out across up to Workers goroutines. The fan-out polls
+// ctx before each solve and stops issuing new ones once canceled; solved
+// channels stay in the store.
+func (m *Mechanism) PrecomputeCtx(ctx context.Context) error {
+	inner := m.tree.inner
 	return channel.ForEachCtx(ctx, channel.Workers(m.cfg.Workers), len(inner), func(i int) error {
 		_, err := m.channel(ctx, inner[i])
 		return err
 	})
-}
-
-// PathBudget returns the total budget consumed along the root path leading
-// to the leaf containing p (every complete path consumes exactly Eps; the
-// method exists so tests can verify that invariant).
-func (m *Mechanism) PathBudget(p geo.Point) float64 {
-	p = m.cfg.Region.Clamp(p)
-	total := 0.0
-	node := m.tree.Root
-	for node.Children != nil {
-		total += node.Eps
-		xi := node.ChildContaining(p)
-		if xi < 0 {
-			xi = 0
-		}
-		node = node.Children[xi]
-	}
-	return total
 }
 
 // MeanLeafSide returns the prior-mass-weighted average leaf cell side

@@ -1,26 +1,20 @@
 package adaptive
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 
 	"geoind/internal/budget"
 	"geoind/internal/channel"
 	"geoind/internal/geo"
-	"geoind/internal/grid"
 	"geoind/internal/lp"
 	"geoind/internal/opt"
 	"geoind/internal/prior"
 )
 
-// QuadConfig parameterizes the quadtree mechanism — the other index
-// structure named by the paper's future work (§8). Unlike the k-d Tree,
-// quadtree cells are uniform squares: adaptation comes from *depth*, not
-// cell shape. A node keeps splitting into 2x2 quadrants while it still
+// QuadConfig parameterizes the quadtree builder — the other index structure
+// named by the paper's future work (§8). Unlike the k-d Tree, quadtree
+// cells are uniform squares: adaptation comes from *depth*, not cell shape. A node keeps splitting into 2x2 quadrants while it still
 // holds at least MassThreshold of the prior mass, the budget allows another
 // level, and MaxDepth is not reached — so dense areas get deep, fine-grained
 // subtrees while empty suburbs stay coarse.
@@ -57,364 +51,102 @@ type QuadConfig struct {
 	PruneMass float64
 }
 
-// QuadMechanism is the quadtree multi-step mechanism.
-type QuadMechanism struct {
-	cfg   QuadConfig
-	root  *quadNode
-	seed  uint64
-	nodes int
-
-	store     *channel.Store
-	priorHash uint64
-	variant   uint64 // store-key variant; 0 means unset (dense)
-
-	solves         atomic.Int64
-	prunedChannels atomic.Int64
-	pruneFallbacks atomic.Int64
-	queryIdx       atomic.Uint64
-
-	rng   *rand.Rand
-	rngMu sync.Mutex
-}
-
-type quadNode struct {
-	rect     geo.Rect
-	mass     float64
-	eps      float64 // budget of the descent step performed at this node
-	children []*quadNode
-	id       int
-	depth    int
-}
-
-// NewQuad builds the quadtree mechanism.
-func NewQuad(cfg QuadConfig, seed uint64) (*QuadMechanism, error) {
-	if !(cfg.Eps > 0) || math.IsInf(cfg.Eps, 0) {
-		return nil, fmt.Errorf("adaptive: quad eps=%g must be positive and finite", cfg.Eps)
+// NewQuad builds the multi-step mechanism over a quadtree: the same engine
+// as New, with buildQuad growing the tree.
+func NewQuad(qc QuadConfig, seed uint64) (*Mechanism, error) {
+	if !(qc.Eps > 0) || math.IsInf(qc.Eps, 0) {
+		return nil, fmt.Errorf("adaptive: quad eps=%g must be positive and finite", qc.Eps)
 	}
-	if cfg.Region.Width() <= 0 || cfg.Region.Height() <= 0 {
-		return nil, fmt.Errorf("adaptive: quad degenerate region %v", cfg.Region)
+	if qc.MassThreshold == 0 {
+		qc.MassThreshold = 0.01
 	}
-	if cfg.MassThreshold == 0 {
-		cfg.MassThreshold = 0.01
+	if !(qc.MassThreshold > 0 && qc.MassThreshold < 1) {
+		return nil, fmt.Errorf("adaptive: quad mass threshold %g outside (0,1)", qc.MassThreshold)
 	}
-	if !(cfg.MassThreshold > 0 && cfg.MassThreshold < 1) {
-		return nil, fmt.Errorf("adaptive: quad mass threshold %g outside (0,1)", cfg.MassThreshold)
+	if qc.MaxDepth == 0 {
+		qc.MaxDepth = 6
 	}
-	if cfg.MaxDepth == 0 {
-		cfg.MaxDepth = 6
+	if qc.MaxDepth < 1 || qc.MaxDepth > 12 {
+		return nil, fmt.Errorf("adaptive: quad max depth %d outside [1,12]", qc.MaxDepth)
 	}
-	if cfg.MaxDepth < 1 || cfg.MaxDepth > 12 {
-		return nil, fmt.Errorf("adaptive: quad max depth %d outside [1,12]", cfg.MaxDepth)
+	if qc.Rho == 0 {
+		qc.Rho = 0.8
 	}
-	if cfg.Rho == 0 {
-		cfg.Rho = 0.8
+	if !(qc.Rho > 0 && qc.Rho < 1) {
+		return nil, fmt.Errorf("adaptive: quad rho=%g outside (0,1)", qc.Rho)
 	}
-	if !(cfg.Rho > 0 && cfg.Rho < 1) {
-		return nil, fmt.Errorf("adaptive: quad rho=%g outside (0,1)", cfg.Rho)
+	if qc.PriorGranularity == 0 {
+		qc.PriorGranularity = 128
 	}
-	if !cfg.Metric.Valid() {
-		return nil, fmt.Errorf("adaptive: quad unknown metric %v", cfg.Metric)
-	}
-	if cfg.PruneMass != 0 && (!(cfg.PruneMass > 0) || cfg.PruneMass >= opt.MaxPruneMass) {
-		return nil, fmt.Errorf("adaptive: quad prune mass %g outside [0, %g)", cfg.PruneMass, opt.MaxPruneMass)
-	}
-	if cfg.PriorGranularity == 0 {
-		cfg.PriorGranularity = 128
-	}
-	minG := 1 << cfg.MaxDepth
-	if cfg.PriorGranularity < minG || cfg.PriorGranularity%minG != 0 {
+	minG := 1 << qc.MaxDepth
+	if qc.PriorGranularity < minG || qc.PriorGranularity%minG != 0 {
 		return nil, fmt.Errorf("adaptive: quad prior granularity %d must be a multiple of 2^MaxDepth = %d",
-			cfg.PriorGranularity, minG)
+			qc.PriorGranularity, minG)
 	}
+	cfg := Config{
+		Eps: qc.Eps, Region: qc.Region, Rho: qc.Rho, Metric: qc.Metric,
+		PriorPoints: qc.PriorPoints, PriorGranularity: qc.PriorGranularity,
+		LP: qc.LP, Workers: qc.Workers, Store: qc.Store, Sampler: qc.Sampler, PruneMass: qc.PruneMass,
+	}
+	h := channel.NewHasher()
+	h.Int(qc.MaxDepth)
+	h.Float64(qc.MassThreshold)
+	return newMechanism(cfg, seed, family{ns: quadNamespace, salt: 0x90ad7ee, hash: h}, func(p *prior.Prior) (*Tree, error) {
+		return buildQuad(p, qc.Eps, qc.MaxDepth, qc.MassThreshold, qc.Rho)
+	})
+}
 
-	fineGrid, err := grid.New(cfg.Region, cfg.PriorGranularity)
-	if err != nil {
-		return nil, fmt.Errorf("adaptive: %w", err)
-	}
-	var fine *prior.Prior
-	if len(cfg.PriorPoints) > 0 {
-		fine = prior.FromPoints(fineGrid, cfg.PriorPoints)
-	} else {
-		fine = prior.Uniform(fineGrid)
-	}
-
-	m := &QuadMechanism{
-		cfg:   cfg,
-		seed:  seed,
-		rng:   rand.New(rand.NewPCG(seed, 0x90ad7ee)),
-		store: cfg.Store,
-	}
-	if m.store == nil {
-		m.store = channel.New(channel.Options{})
-	}
-	root, err := m.grow(fine, 0, 0, cfg.PriorGranularity, 0, cfg.PriorGranularity, 0, cfg.Eps)
+// buildQuad grows the quadtree over the prior's fine grid. Node ids, levels
+// and per-node budgets follow the same conventions as BuildTree.
+func buildQuad(p *prior.Prior, eps float64, maxDepth int, threshold, rho float64) (*Tree, error) {
+	t := &Tree{Fanout: 2, Height: maxDepth}
+	g := p.Grid().Granularity()
+	root, err := t.grow(p, 0, 0, g, 0, g, eps, threshold, rho)
 	if err != nil {
 		return nil, err
 	}
-	m.root = root
-	h := channel.NewHasher()
-	h.Int(cfg.MaxDepth)
-	h.Float64(cfg.MassThreshold)
-	h.Float64(cfg.Rho)
-	h.Float64(cfg.Region.MinX)
-	h.Float64(cfg.Region.MinY)
-	h.Float64(cfg.Region.MaxX)
-	h.Float64(cfg.Region.MaxY)
-	h.Floats(fine.Weights())
-	m.priorHash = h.Sum()
-	if cfg.PruneMass > 0 {
-		vh := channel.NewHasher()
-		vh.Uint64(math.Float64bits(cfg.PruneMass))
-		m.variant = vh.Sum()
-	}
-	return m, nil
+	t.Root = root
+	t.index()
+	return t, nil
 }
 
-// grow recursively builds the quadtree over the fine-grid index range.
-func (m *QuadMechanism) grow(p *prior.Prior, depth, rowLo, rowHi, colLo, colHi int, spent, remaining float64) (*quadNode, error) {
-	g := p.Grid()
-	n := &quadNode{
-		rect:  rectOf(g, rowLo, rowHi, colLo, colHi),
-		mass:  p.BlockMass(rowLo, colLo, rowHi-rowLo, colHi-colLo),
-		id:    m.nodes,
-		depth: depth,
-	}
-	m.nodes++
+// grow recursively builds the quadtree over the fine-grid index range
+// [rowLo,rowHi) x [colLo,colHi).
+func (t *Tree) grow(p *prior.Prior, depth, rowLo, rowHi, colLo, colHi int, remaining, threshold, rho float64) (*Node, error) {
+	n := t.node(p, depth, rowLo, rowHi, colLo, colHi)
 
 	// Split? Only while dense enough, deep budget available, and the range
 	// is still divisible.
-	if depth >= m.cfg.MaxDepth || n.mass < m.cfg.MassThreshold || (rowHi-rowLo) < 2 {
+	if depth >= t.Height || n.Mass < threshold || (rowHi-rowLo) < 2 {
 		return n, nil
 	}
-	childSide := n.rect.Width() / 2
-	need, err := budget.MinEpsilon(math.Min(childSide, n.rect.Height()/2), m.cfg.Rho)
+	childSide := n.Rect.Width() / 2
+	need, err := budget.MinEpsilon(math.Min(childSide, n.Rect.Height()/2), rho)
 	if err != nil {
 		return nil, err
 	}
-	if need >= remaining {
-		// Cannot afford another informative level here: this subtree's
-		// descent ends one step below, absorbing all remaining budget.
-		n.eps = remaining
-		midR, midC := (rowLo+rowHi)/2, (colLo+colHi)/2
-		for _, r := range [][2]int{{rowLo, midR}, {midR, rowHi}} {
-			for _, c := range [][2]int{{colLo, midC}, {midC, colHi}} {
-				leaf := &quadNode{
-					rect:  rectOf(g, r[0], r[1], c[0], c[1]),
-					mass:  p.BlockMass(r[0], c[0], r[1]-r[0], c[1]-c[0]),
-					id:    m.nodes,
-					depth: depth + 1,
-				}
-				m.nodes++
-				n.children = append(n.children, leaf)
-			}
-		}
-		return n, nil
+	// When another informative level is unaffordable here, this subtree's
+	// descent ends one step below, absorbing all remaining budget.
+	last := need >= remaining
+	if last {
+		n.Eps = remaining
+	} else {
+		n.Eps = need
 	}
-	n.eps = need
 	midR, midC := (rowLo+rowHi)/2, (colLo+colHi)/2
 	for _, r := range [][2]int{{rowLo, midR}, {midR, rowHi}} {
 		for _, c := range [][2]int{{colLo, midC}, {midC, colHi}} {
-			child, err := m.grow(p, depth+1, r[0], r[1], c[0], c[1], spent+need, remaining-need)
-			if err != nil {
-				return nil, err
+			var child *Node
+			if last {
+				child = t.node(p, depth+1, r[0], r[1], c[0], c[1])
+			} else {
+				child, err = t.grow(p, depth+1, r[0], r[1], c[0], c[1], remaining-need, threshold, rho)
+				if err != nil {
+					return nil, err
+				}
 			}
-			n.children = append(n.children, child)
+			n.Children = append(n.Children, child)
 		}
 	}
 	return n, nil
 }
-
-// Epsilon returns the total budget. Paths that end early (sparse areas)
-// spend less than Epsilon; the guarantee still holds since unspent budget
-// only strengthens privacy.
-func (m *QuadMechanism) Epsilon() float64 { return m.cfg.Eps }
-
-// NumNodes returns the tree size.
-func (m *QuadMechanism) NumNodes() int { return m.nodes }
-
-// MaxDepthUsed returns the deepest node level actually present.
-func (m *QuadMechanism) MaxDepthUsed() int {
-	max := 0
-	var walk func(*quadNode)
-	walk = func(n *quadNode) {
-		if n.depth > max {
-			max = n.depth
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(m.root)
-	return max
-}
-
-// DepthAt returns the leaf depth of the subtree containing p.
-func (m *QuadMechanism) DepthAt(p geo.Point) int {
-	p = m.cfg.Region.Clamp(p)
-	node := m.root
-	for node.children != nil {
-		next := node.children[0]
-		for _, c := range node.children {
-			if c.rect.Contains(p) {
-				next = c
-				break
-			}
-		}
-		node = next
-	}
-	return node.depth
-}
-
-// lpOpts resolves interior-point options, defaulting the worker count to
-// the pipeline's.
-func (m *QuadMechanism) lpOpts() *lp.IPMOptions {
-	var o lp.IPMOptions
-	if m.cfg.LP != nil {
-		o = *m.cfg.LP
-	}
-	if o.Workers == 0 {
-		o.Workers = m.cfg.Workers
-	}
-	return &o
-}
-
-// channel returns the 4-candidate channel of a node through the
-// singleflight store: concurrent requests perform exactly one solve.
-func (m *QuadMechanism) channel(ctx context.Context, n *quadNode) (*opt.PointChannel, error) {
-	key := channel.NewKey(quadNamespace, n.depth, n.id, n.eps, int(m.cfg.Metric), m.priorHash)
-	if m.variant != 0 {
-		key = key.WithVariant(m.variant)
-	}
-	v, _, err := m.store.GetOrComputeCtx(ctx, key, func(solveCtx context.Context) (any, error) {
-		return m.solveChannel(solveCtx, n)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Persisted snapshots are checksum- and key-verified, but never trust a
-	// foreign backing value over a fresh solve if the shape is wrong.
-	ch, ok := v.(*opt.PointChannel)
-	if !ok || ch.N() != len(n.children) {
-		return m.solveChannel(ctx, n)
-	}
-	return ch, nil
-}
-
-// solveChannel performs the LP solve for one inner node.
-func (m *QuadMechanism) solveChannel(ctx context.Context, n *quadNode) (*opt.PointChannel, error) {
-	centers := make([]geo.Point, len(n.children))
-	masses := make([]float64, len(n.children))
-	total := 0.0
-	for i, c := range n.children {
-		centers[i] = c.rect.Center()
-		masses[i] = c.mass
-		total += c.mass
-	}
-	if total == 0 {
-		for i := range masses {
-			masses[i] = 1
-		}
-	}
-	ch, err := opt.BuildPointsCtx(ctx, n.eps, centers, masses, m.cfg.Metric, &opt.Options{LP: m.lpOpts()})
-	if err != nil {
-		return nil, fmt.Errorf("adaptive: quad node %d: %w", n.id, err)
-	}
-	m.solves.Add(1)
-	if m.cfg.PruneMass > 0 {
-		if pruned, perr := ch.Prune(m.cfg.PruneMass, masses); perr == nil {
-			ch = pruned
-			m.prunedChannels.Add(1)
-		} else {
-			m.pruneFallbacks.Add(1)
-		}
-	}
-	return ch, nil
-}
-
-// Report sanitizes x with the mechanism's seeded randomness (see
-// Mechanism.Report for the Workers-dependent RNG mode).
-func (m *QuadMechanism) Report(x geo.Point) (geo.Point, error) {
-	return m.ReportCtx(context.Background(), x)
-}
-
-// ReportCtx is Report under a context; see Mechanism.ReportCtx for the
-// cancellation contract.
-func (m *QuadMechanism) ReportCtx(ctx context.Context, x geo.Point) (geo.Point, error) {
-	if channel.Workers(m.cfg.Workers) <= 1 {
-		m.rngMu.Lock()
-		defer m.rngMu.Unlock()
-		return m.reportWithCtx(ctx, x, m.rng)
-	}
-	qi := m.queryIdx.Add(1) - 1
-	rng := rand.New(rand.NewPCG(m.seed, reportStreamSalt^qi))
-	return m.reportWithCtx(ctx, x, rng)
-}
-
-// ReportWith descends the quadtree (Algorithm 1 over quadrants) and returns
-// the selected leaf-cell center.
-func (m *QuadMechanism) ReportWith(x geo.Point, rng *rand.Rand) (geo.Point, error) {
-	return m.reportWithCtx(context.Background(), x, rng)
-}
-
-func (m *QuadMechanism) reportWithCtx(ctx context.Context, x geo.Point, rng *rand.Rand) (geo.Point, error) {
-	x = m.cfg.Region.Clamp(x)
-	node := m.root
-	for node.children != nil {
-		ch, err := m.channel(ctx, node)
-		if err != nil {
-			return geo.Point{}, err
-		}
-		xi := -1
-		for i, c := range node.children {
-			if c.rect.Contains(x) {
-				xi = i
-				break
-			}
-		}
-		if xi < 0 {
-			xi = rng.IntN(len(node.children))
-		}
-		node = node.children[ch.Sampler(m.cfg.Sampler).Sample(xi, rng)]
-	}
-	return node.rect.Center(), nil
-}
-
-// Precompute eagerly solves every inner node's channel, fanning the
-// independent solves out across up to Workers goroutines.
-func (m *QuadMechanism) Precompute() error {
-	return m.PrecomputeCtx(context.Background())
-}
-
-// PrecomputeCtx is Precompute under a context: the fan-out polls ctx before
-// each solve and stops issuing new ones once canceled.
-func (m *QuadMechanism) PrecomputeCtx(ctx context.Context) error {
-	var inner []*quadNode
-	var walk func(*quadNode)
-	walk = func(n *quadNode) {
-		if n.children == nil {
-			return
-		}
-		inner = append(inner, n)
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(m.root)
-	return channel.ForEachCtx(ctx, channel.Workers(m.cfg.Workers), len(inner), func(i int) error {
-		_, err := m.channel(ctx, inner[i])
-		return err
-	})
-}
-
-// Stats returns the number of LP solves performed (atomic; safe under
-// concurrent load).
-func (m *QuadMechanism) Stats() int {
-	return int(m.solves.Load())
-}
-
-// StoreStats returns a snapshot of the channel store's counters.
-func (m *QuadMechanism) StoreStats() channel.Stats { return m.store.Stats() }
-
-// SyncStore blocks until the store's write-behind persistence goroutines
-// (if a backing cache is configured) have drained.
-func (m *QuadMechanism) SyncStore() { m.store.Sync() }

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -40,6 +41,23 @@ func TestNewQuadValidation(t *testing.T) {
 	}
 }
 
+// depthAt returns the leaf depth of the subtree of m's tree containing p.
+func depthAt(m *Mechanism, p geo.Point) int {
+	p = m.cfg.Region.Clamp(p)
+	node := m.Tree().Root
+	for node.Children != nil {
+		next := node.Children[0]
+		for _, c := range node.Children {
+			if c.Rect.Contains(p) {
+				next = c
+				break
+			}
+		}
+		node = next
+	}
+	return node.Level
+}
+
 // TestQuadDepthAdaptsToDensity: the tree is deeper over the dense cluster
 // than over empty space.
 func TestQuadDepthAdaptsToDensity(t *testing.T) {
@@ -48,16 +66,17 @@ func TestQuadDepthAdaptsToDensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := m.DepthAt(geo.Point{X: 5, Y: 5})   // cluster center
-	sparse := m.DepthAt(geo.Point{X: 19, Y: 1}) // empty corner
+	tree := m.Tree()
+	dense := depthAt(m, geo.Point{X: 5, Y: 5})   // cluster center
+	sparse := depthAt(m, geo.Point{X: 19, Y: 1}) // empty corner
 	if dense <= sparse {
 		t.Errorf("dense depth %d not greater than sparse depth %d", dense, sparse)
 	}
-	if m.MaxDepthUsed() < 2 {
-		t.Errorf("tree too shallow: %d", m.MaxDepthUsed())
+	if tree.MaxDepthUsed() < 2 {
+		t.Errorf("tree too shallow: %d", tree.MaxDepthUsed())
 	}
 	t.Logf("depth at cluster %d, at empty corner %d, max %d, nodes %d",
-		dense, sparse, m.MaxDepthUsed(), m.NumNodes())
+		dense, sparse, tree.MaxDepthUsed(), tree.NumNodes())
 }
 
 // TestQuadBudgetBoundPerPath: the budget consumed along any root-leaf path
@@ -70,17 +89,17 @@ func TestQuadBudgetBoundPerPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var walk func(n *quadNode, spent float64)
-	walk = func(n *quadNode, spent float64) {
-		spent += n.eps
+	var walk func(n *Node, spent float64)
+	walk = func(n *Node, spent float64) {
+		spent += n.Eps
 		if spent > cfg.Eps+1e-9 {
-			t.Fatalf("path through node %d spends %g > %g", n.id, spent, cfg.Eps)
+			t.Fatalf("path through node %d spends %g > %g", n.ID(), spent, cfg.Eps)
 		}
-		for _, c := range n.children {
+		for _, c := range n.Children {
 			walk(c, spent)
 		}
 	}
-	walk(m.root, 0)
+	walk(m.Tree().Root, 0)
 }
 
 // TestQuadPartitionInvariant: children exactly tile their parent and carry
@@ -91,36 +110,36 @@ func TestQuadPartitionInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var walk func(n *quadNode)
-	walk = func(n *quadNode) {
-		if n.children == nil {
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if n.Children == nil {
 			return
 		}
-		if len(n.children) != 4 {
-			t.Fatalf("node %d has %d children", n.id, len(n.children))
+		if len(n.Children) != 4 {
+			t.Fatalf("node %d has %d children", n.ID(), len(n.Children))
 		}
 		area, mass := 0.0, 0.0
-		for _, c := range n.children {
-			area += c.rect.Width() * c.rect.Height()
-			mass += c.mass
+		for _, c := range n.Children {
+			area += c.Rect.Width() * c.Rect.Height()
+			mass += c.Mass
 		}
-		pArea := n.rect.Width() * n.rect.Height()
+		pArea := n.Rect.Width() * n.Rect.Height()
 		if math.Abs(area-pArea) > 1e-6*pArea {
-			t.Fatalf("node %d: children area %g vs %g", n.id, area, pArea)
+			t.Fatalf("node %d: children area %g vs %g", n.ID(), area, pArea)
 		}
-		if math.Abs(mass-n.mass) > 1e-9 {
-			t.Fatalf("node %d: children mass %g vs %g", n.id, mass, n.mass)
+		if math.Abs(mass-n.Mass) > 1e-9 {
+			t.Fatalf("node %d: children mass %g vs %g", n.ID(), mass, n.Mass)
 		}
-		for _, c := range n.children {
+		for _, c := range n.Children {
 			walk(c)
 		}
 	}
-	walk(m.root)
+	walk(m.Tree().Root)
 }
 
 func TestQuadReportDeterministicAndInRegion(t *testing.T) {
 	pts := clusteredPoints(3000, 9)
-	mk := func() *QuadMechanism {
+	mk := func() *Mechanism {
 		m, err := NewQuad(quadCfg(pts), 11)
 		if err != nil {
 			t.Fatal(err)
@@ -131,8 +150,8 @@ func TestQuadReportDeterministicAndInRegion(t *testing.T) {
 	region := geo.NewSquare(20)
 	for i := 0; i < 50; i++ {
 		x := pts[i%len(pts)]
-		z1, err1 := m1.Report(x)
-		z2, err2 := m2.Report(x)
+		z1, err1 := m1.ReportCtx(context.Background(), x)
+		z2, err2 := m2.ReportCtx(context.Background(), x)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -153,7 +172,7 @@ func TestQuadPrecomputeAndUtility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Precompute(); err != nil {
+	if err := m.PrecomputeCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Stats()
@@ -181,5 +200,5 @@ func TestQuadPrecomputeAndUtility(t *testing.T) {
 	if loss >= 3.0 {
 		t.Errorf("quadtree mean loss %.3f km not informative", loss)
 	}
-	t.Logf("quadtree mean loss %.3f km (nodes %d, max depth %d)", loss, m.NumNodes(), m.MaxDepthUsed())
+	t.Logf("quadtree mean loss %.3f km (nodes %d, max depth %d)", loss, m.Tree().NumNodes(), m.Tree().MaxDepthUsed())
 }

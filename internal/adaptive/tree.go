@@ -1,11 +1,14 @@
 // Package adaptive implements the paper's future-work direction (§8): a
 // multi-step mechanism over a prior-adaptive hierarchical partition instead
-// of a uniform grid. Each node of the tree splits its rectangle into
-// fanout x fanout sub-rectangles by k-d-style mass-median cuts (slice and
-// dice: the node is cut into fanout vertical strips of roughly equal prior
-// mass, each strip into fanout cells of roughly equal mass), so dense
-// downtown areas get small cells — fine reporting granularity exactly where
-// queries concentrate — while empty suburbs keep large cells.
+// of a uniform grid. Two tree builders feed one descent engine (Mechanism):
+//
+//   - BuildTree (New) splits each node's rectangle into fanout x fanout
+//     sub-rectangles by k-d-style mass-median cuts (slice and dice: the node
+//     is cut into fanout vertical strips of roughly equal prior mass, each
+//     strip into fanout cells of roughly equal mass), so dense downtown areas
+//     get small cells while empty suburbs keep large cells;
+//   - buildQuad (NewQuad) splits nodes into uniform 2x2 quadrants and adapts
+//     by depth instead: a node splits only while it holds enough prior mass.
 //
 // The multi-step descent, budget accounting and per-node OPT channels mirror
 // internal/core, with two generalizations: candidate locations are the
@@ -38,6 +41,7 @@ type Node struct {
 	// Level is the node's depth (root = 0).
 	Level int
 	id    int
+	inner int // dense index among the tree's inner nodes (see Tree.index)
 }
 
 // ID returns a stable identifier for channel caching.
@@ -72,32 +76,71 @@ func (n *Node) ChildContaining(p geo.Point) int {
 	return -1
 }
 
-// Tree is a balanced prior-adaptive partition of a region.
+// Tree is a prior-adaptive partition of a region: Fanout slices per axis
+// at each inner node, at most Height levels below the root.
 type Tree struct {
 	Root   *Node
 	Fanout int
 	Height int
 	nodes  int
+	inner  []*Node // inner nodes in construction order; inner[i].inner == i
 }
 
 // NumNodes returns the total number of tree nodes.
 func (t *Tree) NumNodes() int { return t.nodes }
 
+// walk visits every node in construction (pre-)order.
+func (t *Tree) walk(fn func(*Node)) {
+	var rec func(*Node)
+	rec = func(n *Node) {
+		fn(n)
+		for _, c := range n.Children {
+			rec(c)
+		}
+	}
+	rec(t.Root)
+}
+
 // Leaves returns all leaf nodes in construction order.
 func (t *Tree) Leaves() []*Node {
 	var out []*Node
-	var walk func(*Node)
-	walk = func(n *Node) {
+	t.walk(func(n *Node) {
 		if n.Children == nil {
 			out = append(out, n)
-			return
 		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(t.Root)
+	})
 	return out
+}
+
+// MaxDepthUsed returns the deepest node level actually present.
+func (t *Tree) MaxDepthUsed() int {
+	depth := 0
+	t.walk(func(n *Node) { depth = max(depth, n.Level) })
+	return depth
+}
+
+// index numbers the inner nodes densely, in construction order, once the
+// builder has finished; the engine's batch memo and Precompute use it.
+func (t *Tree) index() {
+	t.walk(func(n *Node) {
+		if n.Children != nil {
+			n.inner = len(t.inner)
+			t.inner = append(t.inner, n)
+		}
+	})
+}
+
+// node appends a childless node over the fine-grid index range
+// [rowLo,rowHi) x [colLo,colHi) at level, taking the next id.
+func (t *Tree) node(p *prior.Prior, level, rowLo, rowHi, colLo, colHi int) *Node {
+	n := &Node{
+		Rect:  rectOf(p.Grid(), rowLo, rowHi, colLo, colHi),
+		Mass:  p.BlockMass(rowLo, colLo, rowHi-rowLo, colHi-colLo),
+		Level: level,
+		id:    t.nodes,
+	}
+	t.nodes++
+	return n
 }
 
 // BuildTree constructs the adaptive tree over the prior's region. The prior
@@ -138,20 +181,14 @@ func BuildTree(p *prior.Prior, eps float64, fanout, height int, rho float64) (*T
 		return nil, err
 	}
 	t.Root = root
+	t.index()
 	return t, nil
 }
 
 // build recursively partitions the fine-grid index range
 // [rowLo,rowHi) x [colLo,colHi).
 func (t *Tree) build(p *prior.Prior, level, rowLo, rowHi, colLo, colHi int, remaining, rho float64) (*Node, error) {
-	g := p.Grid()
-	n := &Node{
-		Rect:  rectOf(g, rowLo, rowHi, colLo, colHi),
-		Mass:  p.BlockMass(rowLo, colLo, rowHi-rowLo, colHi-colLo),
-		Level: level,
-		id:    t.nodes,
-	}
-	t.nodes++
+	n := t.node(p, level, rowLo, rowHi, colLo, colHi)
 	if level == t.Height {
 		return n, nil
 	}
@@ -187,13 +224,7 @@ func (t *Tree) build(p *prior.Prior, level, rowLo, rowHi, colLo, colHi int, rema
 			if last {
 				// Children of the final step are leaves regardless of the
 				// configured height (budget exhausted).
-				child = &Node{
-					Rect:  rectOf(g, rowCuts[ri], rowCuts[ri+1], cLo, cHi),
-					Mass:  p.BlockMass(rowCuts[ri], cLo, rowCuts[ri+1]-rowCuts[ri], cHi-cLo),
-					Level: level + 1,
-					id:    t.nodes,
-				}
-				t.nodes++
+				child = t.node(p, level+1, rowCuts[ri], rowCuts[ri+1], cLo, cHi)
 			} else {
 				child, err = t.build(p, level+1, rowCuts[ri], rowCuts[ri+1], cLo, cHi,
 					remaining-n.Eps, rho)

@@ -183,7 +183,7 @@ func TestReportBatchIdentitySequential(t *testing.T) {
 
 // TestReportBatchAllocsFlat guards the allocation-free per-point descent:
 // a warm pooled batch allocates per batch (its result, stream and slot
-// slices, one subgrid per distinct parent cell), never per point. Going from
+// slices), never per point. Going from
 // 256 to 4096 points may add at most one allocation per hierarchy cell — the
 // larger batch can touch parent cells the smaller one missed — where a
 // single per-point allocation would add 3840.
@@ -208,4 +208,32 @@ func TestReportBatchAllocsFlat(t *testing.T) {
 		t.Errorf("allocs per ReportBatchCtx grew with n: %.0f at n=256, %.0f at n=4096 (slack %.0f)", small, large, slack)
 	}
 	t.Logf("allocs per batch: %.0f at n=256, %.0f at n=4096", small, large)
+}
+
+// TestReportAllocsPerLevel guards the warm sequential single-point path: the
+// per-level subgrid is a value, so what a warm Report allocates is at most
+// one object per level (the store lookup's solve closure in channel).
+func TestReportAllocsPerLevel(t *testing.T) {
+	for _, eps := range []float64{0.5, 2} {
+		cfg := concurrencyConfig(0)
+		cfg.Eps = eps
+		m, err := New(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Precompute(); err != nil {
+			t.Fatal(err)
+		}
+		xs := batchInputs(64, 3)
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := m.Report(xs[i%len(xs)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if h := m.Height(); allocs > float64(h) {
+			t.Errorf("height %d: %.2f allocs per warm Report, want <= %d", h, allocs, h)
+		}
+	}
 }

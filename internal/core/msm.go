@@ -582,7 +582,7 @@ func (m *Mechanism) solveChannel(ctx context.Context, level, parentIdx int) (*op
 			LP:             m.lpOpts(),
 			Workers:        m.cfg.Workers,
 		}
-		ch, err = opt.BuildLocalCtx(ctx, m.alloc.Eps[level], sub, pw, m.cfg.Metric, m.cfg.LocalRadius, lo)
+		ch, err = opt.BuildLocalCtx(ctx, m.alloc.Eps[level], &sub, pw, m.cfg.Metric, m.cfg.LocalRadius, lo)
 		if err == nil {
 			m.solves.Add(1)
 			m.localChannels.Add(1)
@@ -597,9 +597,9 @@ func (m *Mechanism) solveChannel(ctx context.Context, level, parentIdx int) (*op
 		m.localFallbacks.Add(1)
 	}
 	if m.cfg.SpannerStretch > 0 {
-		ch, err = opt.BuildSpannerCtx(ctx, m.alloc.Eps[level], sub, pw, m.cfg.Metric, m.cfg.SpannerStretch, &opt.Options{LP: m.lpOpts()})
+		ch, err = opt.BuildSpannerCtx(ctx, m.alloc.Eps[level], &sub, pw, m.cfg.Metric, m.cfg.SpannerStretch, &opt.Options{LP: m.lpOpts()})
 	} else {
-		ch, err = opt.BuildCtx(ctx, m.alloc.Eps[level], sub, pw, m.cfg.Metric, &opt.Options{LP: m.lpOpts()})
+		ch, err = opt.BuildCtx(ctx, m.alloc.Eps[level], &sub, pw, m.cfg.Metric, &opt.Options{LP: m.lpOpts()})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("msm: level %d cell %d: %w", level+1, parentIdx, err)
@@ -709,7 +709,7 @@ const batchChunk = 64
 // the slot's entry in the mechanism's slot index.
 type batchSlot struct {
 	pos     int
-	sub     *grid.Grid
+	sub     grid.Grid
 	sampler opt.Sampler
 }
 

@@ -82,7 +82,7 @@ func (c *Context) RunAdaptiveComparison(epsList []float64, fanout int) (*Adaptiv
 				Dataset: ds.Name, Eps: eps,
 				GridLoss: gridLoss, AdaptiveLoss: aLoss, QuadLoss: qLoss,
 				GridHeight: m.Height(), MeanLeafSide: am.MeanLeafSide(),
-				QuadDepth: qm.MaxDepthUsed(),
+				QuadDepth: qm.Tree().MaxDepthUsed(),
 			})
 		}
 	}

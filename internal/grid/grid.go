@@ -198,15 +198,21 @@ func (h *Hierarchy) LevelGrid(level int) *Grid {
 // SubGrid returns the fanout x fanout partial grid covering the spatial
 // extent of cell parentIdx at level (the set G_i of Algorithm 1 for the
 // enclosing cell C). For level 0 pass parentIdx 0: the result covers the
-// whole root region.
-func (h *Hierarchy) SubGrid(level, parentIdx int) *Grid {
+// whole root region. It is returned by value, with New's arithmetic, so the
+// per-level call on the report path allocates nothing.
+func (h *Hierarchy) SubGrid(level, parentIdx int) Grid {
 	var rect geo.Rect
 	if level == 0 {
 		rect = h.root
 	} else {
 		rect = h.LevelGrid(level).CellRect(parentIdx)
 	}
-	return MustNew(rect, h.fanout)
+	return Grid{
+		bounds: rect,
+		g:      h.fanout,
+		cellW:  rect.Width() / float64(h.fanout),
+		cellH:  rect.Height() / float64(h.fanout),
+	}
 }
 
 // ChildIndex converts a local cell index within SubGrid(level, parentIdx)

@@ -325,10 +325,13 @@ func TestTraceSurvivesRestart(t *testing.T) {
 }
 
 // TestTraceConcurrentSameUser: predictive steps for one user are serialized
-// server-side, so a burst of concurrent requests from a stationary user pays
-// for exactly one fresh report and re-releases it to everyone else. Without
-// the per-user lock, several racing requests would each miss the memo and
-// each pay full epsilon.
+// (by session.Store.Step, which runs one user's steps one at a time), so a
+// burst of concurrent requests from a stationary user pays for exactly one
+// fresh report and re-releases it to everyone else. Without that
+// serialization, several racing requests would each miss the memo and each
+// pay full epsilon. The session test
+// TestJournalConcurrentStepSameUserSerialized covers the serialization
+// itself.
 func TestTraceConcurrentSameUser(t *testing.T) {
 	const workers = 20
 	// theta=50 with epsTest=1 makes the stationary test failure probability

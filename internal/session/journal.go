@@ -143,6 +143,10 @@ type journal struct {
 	window       time.Duration
 	syncEvery    int
 	compactEvery int
+	// syncDir fsyncs the journal directory (fsyncDir outside tests), so
+	// that segment creations and renames survive power loss before any
+	// acknowledgement depends on them.
+	syncDir func(dir string) error
 
 	// syncMu serializes fsyncs and everything that replaces or closes the
 	// segment, so no fsync is in flight on a descriptor being closed. Lock
@@ -417,8 +421,9 @@ func decodeSnapshot(data []byte, limit float64, window time.Duration) ([]State, 
 // segment, active segment — in that order, seq-gated) and returns the
 // journal positioned to append to the active segment. Config mismatches and
 // positive corruption (a bad CRC anywhere but a segment tail) are errors:
-// serving with a damaged budget history could let users over-spend.
-func openJournal(cfg Config) (*journal, map[string]State, error) {
+// serving with a damaged budget history could let users over-spend. syncDir
+// is the directory fsync the journal uses (fsyncDir).
+func openJournal(cfg Config, syncDir func(dir string) error) (*journal, map[string]State, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("session: journal dir: %w", err)
 	}
@@ -428,6 +433,7 @@ func openJournal(cfg Config) (*journal, map[string]State, error) {
 		window:       cfg.Window,
 		syncEvery:    cfg.SyncEvery,
 		compactEvery: cfg.CompactEvery,
+		syncDir:      syncDir,
 	}
 	if j.syncEvery <= 0 {
 		j.syncEvery = 1
@@ -536,8 +542,23 @@ func (j *journal) replaySegment(path string, states map[string]State) error {
 	return nil
 }
 
+// fsyncDir fsyncs directory dir, making the entries created, renamed or
+// removed in it durable.
+func fsyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // openSegment opens (or creates) the active segment for appending,
-// validating the header when the file already has one.
+// validating the header when the file already has one. A segment it had to
+// start is made durable, directory entry included, before it is used.
 func (j *journal) openSegment() error {
 	path := filepath.Join(j.dir, walName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -557,6 +578,10 @@ func (j *journal) openSegment() error {
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return fmt.Errorf("session: sync journal header: %w", err)
+		}
+		if err := j.syncDir(j.dir); err != nil {
+			f.Close()
+			return fmt.Errorf("session: fsync journal dir: %w", err)
 		}
 	} else if _, err := f.Seek(0, 2); err != nil {
 		f.Close()
@@ -718,6 +743,13 @@ func (j *journal) compact(export func() []State) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("session: publish snapshot: %w", err)
 	}
+	// The rotated segment may only go once the snapshot replacing it is
+	// durably in place. The fsync runs without j.mu, so appends go on.
+	if err := j.syncDir(j.dir); err != nil {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.failLocked(fmt.Errorf("fsync dir after snapshot: %w", err))
+	}
 	if err := os.Remove(oldPath); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("session: drop rotated segment: %w", err)
 	}
@@ -772,6 +804,12 @@ func (j *journal) rotate(oldPath, walPath string, leftover bool) error {
 		f.Close()
 		return errors.Join(fmt.Errorf("session: sync fresh segment: %w", err), j.restoreRotated(oldPath, walPath))
 	}
+	// Records on the fresh segment are acknowledged once fsynced; make its
+	// directory entry (and the rename before it) durable first.
+	if err := j.syncDir(j.dir); err != nil {
+		f.Close()
+		return j.failLocked(fmt.Errorf("fsync dir after rotate: %w", err))
+	}
 	j.f = f
 	j.segRecords = 0
 	return nil
@@ -803,6 +841,9 @@ func (j *journal) restoreRotated(oldPath, walPath string) error {
 	}
 	if err := os.Rename(oldPath, walPath); err != nil {
 		return j.failLocked(fmt.Errorf("restore rotated segment: %w", err))
+	}
+	if err := j.syncDir(j.dir); err != nil {
+		return j.failLocked(fmt.Errorf("fsync dir after restore: %w", err))
 	}
 	return j.reopenAppend(walPath)
 }

@@ -167,7 +167,7 @@ func Open(cfg Config) (*Store, error) {
 		s.shards[i].steps = make(map[string]*stepLock)
 	}
 	if cfg.Dir != "" {
-		j, states, err := openJournal(cfg)
+		j, states, err := openJournal(cfg, fsyncDir)
 		if err != nil {
 			return nil, err
 		}

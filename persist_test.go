@@ -3,8 +3,11 @@ package geoind_test
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -359,5 +362,45 @@ func TestWarmRestartFromV1Snapshots(t *testing.T) {
 	}
 	if _, s := m3.Stats(); s != 0 {
 		t.Fatalf("restart after migration performed %d solves, want 0", s)
+	}
+}
+
+// TestAdaptiveStoreKeysUnchanged pins the k-d adaptive mechanism's channel
+// store keys through the snapshot file names they produce: a key change
+// would leave every persisted CacheDir cold. The hash is FNV-64a over the
+// sorted names relative to the cache dir, each followed by a NUL byte.
+func TestAdaptiveStoreKeysUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	ds := geoind.YelpSynthetic()
+	m, err := geoind.NewAdaptiveMSM(geoind.AdaptiveMSMConfig{
+		Eps: 0.5, Region: ds.Region(), PriorPoints: ds.Points(),
+		Fanout: 3, Seed: 4, CacheDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	m.FlushCache()
+	var names []string
+	if err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, p)
+		names = append(names, filepath.ToSlash(rel))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	h := fnv.New64a()
+	for _, n := range names {
+		h.Write([]byte(n))
+		h.Write([]byte{0})
+	}
+	if len(names) != 10 || h.Sum64() != 0x2fa1b5ae29cfbb7e {
+		t.Fatalf("snapshot files %v (hash %016x), want 10 files hashing to 2fa1b5ae29cfbb7e", names, h.Sum64())
 	}
 }
