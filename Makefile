@@ -41,10 +41,10 @@ race:
 # in-process fleet tests; the session Concurrent/Journal suites hammer
 # Spend/Refund/Save across shards while the journal appends and compacts;
 # the ReportBatch suites race the pooled batch descent's chunked fan-out over
-# its shared stream and slot slices and pin its output to the per-point path
-# (in internal/core, and in internal/adaptive, where the workers share one
-# per-batch sampler memo), and SearchCum pins the inline cumulative-row
-# search to sort.SearchFloat64s.
+# the per-batch memo its workers share (in internal/core and
+# internal/adaptive), pin its output to the per-point path and count its cold
+# solves, and SearchCum pins the inline cumulative-row search to
+# sort.SearchFloat64s.
 race-persist:
 	$(GO) test -race -count=2 -run 'Snapshot|DirCache|Backing|WarmRestart|CacheBytes|AliasSharing|LocalParallel|RelevanceDomain|Remote|Tiered|Ring|Fabric|Fleet|Concurrent|Journal|Rollover|Trace|ReportBatch|SearchCum' \
 		./internal/channel ./internal/opt ./internal/fabric ./internal/session ./internal/server ./internal/core ./internal/adaptive .

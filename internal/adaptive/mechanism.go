@@ -224,17 +224,23 @@ func (m *Mechanism) lpOpts() *lp.IPMOptions {
 }
 
 // channel returns the OPT channel of a node through the singleflight store:
-// concurrent requests for one node perform exactly one solve.
+// concurrent requests for one node perform exactly one solve. A resident
+// channel is read through Lookup, which counts the hit as GetOrComputeCtx
+// would, so a warm lookup builds no solve closure.
 func (m *Mechanism) channel(ctx context.Context, n *Node) (*opt.PointChannel, error) {
 	key := channel.NewKey(m.ns, 0, n.ID(), n.Eps, int(m.cfg.Metric), m.priorHash)
 	if m.variant != 0 {
 		key = key.WithVariant(m.variant)
 	}
-	v, _, err := m.store.GetOrComputeCtx(ctx, key, func(solveCtx context.Context) (any, error) {
-		return m.solveChannel(solveCtx, n)
-	})
-	if err != nil {
-		return nil, err
+	v, ok := m.store.Lookup(key)
+	if !ok {
+		var err error
+		v, _, err = m.store.GetOrComputeCtx(ctx, key, func(solveCtx context.Context) (any, error) {
+			return m.solveChannel(solveCtx, n)
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	// Persisted snapshots are checksum- and key-verified, but never trust a
 	// foreign backing value over a fresh solve if the shape is wrong.
@@ -350,8 +356,9 @@ func (m *Mechanism) ReportCtx(ctx context.Context, x geo.Point) (geo.Point, erro
 		defer m.rngMu.Unlock()
 		return m.descend(ctx, x, m.rng, nil)
 	}
-	qi := m.queryIdx.Add(1) - 1
-	return m.descend(ctx, x, rand.New(rand.NewPCG(m.seed, reportStreamSalt^qi)), nil)
+	s := opt.GetStream()
+	defer opt.PutStream(s)
+	return m.descend(ctx, x, s.Seed(m.seed, reportStreamSalt^(m.queryIdx.Add(1)-1)), nil)
 }
 
 // ReportWith descends the tree drawing every sample from rng.
@@ -398,18 +405,13 @@ func (m *Mechanism) ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.P
 	}
 	n := uint64(len(xs))
 	base := m.queryIdx.Add(n) - n
-	// One stream and generator per chunk, re-seeded per point: a PCG seeded
-	// in place draws exactly what a fresh rand.NewPCG would, and a chunk
-	// belongs to one worker, so the descent allocates per batch, not per
-	// point.
+	// One stream per chunk, re-seeded per point: a chunk belongs to one
+	// worker, so the descent allocates per batch, not per point.
 	chunks := (len(xs) + batchChunk - 1) / batchChunk
-	pcgs := make([]rand.PCG, chunks)
-	rngs := make([]rand.Rand, chunks)
+	streams := make([]opt.Stream, chunks)
 	if err := channel.ForEachCtx(ctx, workers, chunks, func(c int) error {
-		rngs[c] = *rand.New(&pcgs[c])
 		for i := c * batchChunk; i < min((c+1)*batchChunk, len(xs)); i++ {
-			pcgs[c].Seed(m.seed, reportStreamSalt^(base+uint64(i)))
-			z, err := m.descend(ctx, xs[i], &rngs[c], memo)
+			z, err := m.descend(ctx, xs[i], streams[c].Seed(m.seed, reportStreamSalt^(base+uint64(i))), memo)
 			if err != nil {
 				return err
 			}

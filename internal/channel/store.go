@@ -92,8 +92,9 @@ func (k Key) WithVariant(variant uint64) Key {
 var ErrSolveOverload = errors.New("channel: solve admission queue full")
 
 // Stats is a snapshot of store behaviour. Hits+Misses equals the number of
-// GetOrCompute calls that completed; Misses equals the number of solves
-// actually performed (deduplicated waiters count as hits).
+// GetOrCompute calls that completed plus the number of Lookup hits; Misses
+// equals the number of solves actually performed (deduplicated waiters count
+// as hits).
 type Stats struct {
 	// Hits counts lookups satisfied without a new solve (including calls
 	// that waited on an in-flight solve for the same key).
@@ -529,6 +530,18 @@ func (s *Store) Get(key Key) (any, bool) {
 	}
 	e.lastUsed.Store(s.clock.Add(1))
 	return e.val, true
+}
+
+// Lookup is Get counted as a hit, exactly as GetOrComputeCtx's warm path
+// counts one. A false return counts nothing, so a caller that falls back to
+// GetOrComputeCtx on a miss keeps Hits+Misses at one per lookup. Hot read
+// paths use it to build no solve closure while their value is resident.
+func (s *Store) Lookup(key Key) (any, bool) {
+	v, ok := s.Get(key)
+	if ok {
+		s.hits.Add(1)
+	}
+	return v, ok
 }
 
 // evict removes completed entries in least-recently-used order until at

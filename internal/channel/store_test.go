@@ -29,6 +29,25 @@ func TestGetOrComputeBasic(t *testing.T) {
 	}
 }
 
+// TestLookupCountsHitsOnly: a Lookup miss counts nothing (its caller falls
+// back to GetOrCompute, which counts the miss), a Lookup hit counts exactly
+// as a warm GetOrCompute does.
+func TestLookupCountsHitsOnly(t *testing.T) {
+	s := New(Options{})
+	if v, ok := s.Lookup(key(1)); ok || v != nil {
+		t.Fatalf("cold Lookup: v=%v ok=%v", v, ok)
+	}
+	if _, _, err := s.GetOrCompute(key(1), func() (any, error) { return "a", nil }); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Lookup(key(1)); !ok || v.(string) != "a" {
+		t.Fatalf("warm Lookup: v=%v ok=%v", v, ok)
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats %+v want hits=1 misses=1", st)
+	}
+}
+
 func TestKeySeparation(t *testing.T) {
 	s := New(Options{})
 	mk := func(k Key, v string) {

@@ -81,7 +81,7 @@ func TestReportBatchIdentityPooled(t *testing.T) {
 }
 
 // TestReportBatchIdentityConcurrent runs pooled batches from several
-// goroutines on one mechanism, so batches share its pooled slot indexes and
+// goroutines on one mechanism, so batches share its pooled memos and
 // reserve interleaved query-index blocks. Every batch must still equal the
 // per-point path at exactly one block base, each base claimed once.
 func TestReportBatchIdentityConcurrent(t *testing.T) {
@@ -181,12 +181,64 @@ func TestReportBatchIdentitySequential(t *testing.T) {
 	}
 }
 
+// TestReportBatchColdSolvesOnce: a cold Workers=8 batch on a fresh store,
+// whose workers race to resolve the same parent cells (the memo's CAS-losers
+// resolve through the store themselves), solves each distinct (level, parent)
+// channel exactly once, and as many as a Report loop on a twin that visits
+// the same cells.
+func TestReportBatchColdSolvesOnce(t *testing.T) {
+	xs := batchInputs(1025, 11)
+	m, err := New(batchConfig(8, opt.SamplerCum, nil), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ReportBatchCtx(context.Background(), xs); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(batchConfig(8, opt.SamplerCum, nil), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range xs {
+		if _, err := twin.Report(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, solves := m.Stats()
+	_, twinSolves := twin.Stats()
+	if st := m.StoreStats(); solves != twinSolves || int64(solves) != st.Misses || int64(solves) != st.Entries {
+		t.Errorf("batch: %d solves, %d misses, %d resident channels; Report loop twin: %d solves",
+			solves, st.Misses, st.Entries, twinSolves)
+	}
+}
+
+// TestReportBatchCanceled: a canceled context stops both batch paths with
+// ctx.Err(), also when every channel is warm and no store lookup would see
+// the cancel.
+func TestReportBatchCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, w := range []int{1, 4} {
+		m, err := New(batchConfig(w, opt.SamplerCum, nil), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Precompute(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ReportBatchCtx(ctx, batchInputs(200, 1)); err != context.Canceled {
+			t.Errorf("w=%d: err %v, want context.Canceled", w, err)
+		}
+	}
+}
+
 // TestReportBatchAllocsFlat guards the allocation-free per-point descent:
-// a warm pooled batch allocates per batch (its result, stream and slot
-// slices), never per point. Going from
-// 256 to 4096 points may add at most one allocation per hierarchy cell — the
-// larger batch can touch parent cells the smaller one missed — where a
-// single per-point allocation would add 3840.
+// a warm pooled batch allocates per batch (its result, its chunk streams, the
+// fan-out and the closures around it), never per point. The pooled memo and
+// a worker's store lookup after losing a memo race allocate nothing warm, so
+// going from 256 to 4096 points may add at most a rebuilt memo (its state and
+// slot slices) when the pool dropped it, where a single per-point allocation
+// would add 3840.
 func TestReportBatchAllocsFlat(t *testing.T) {
 	m, err := New(batchConfig(2, opt.SamplerCum, nil), 9)
 	if err != nil {
@@ -204,36 +256,46 @@ func TestReportBatchAllocsFlat(t *testing.T) {
 		})
 	}
 	small, large := allocs(256), allocs(4096)
-	if slack := float64(m.levelOff[m.Height()]); large > small+slack {
-		t.Errorf("allocs per ReportBatchCtx grew with n: %.0f at n=256, %.0f at n=4096 (slack %.0f)", small, large, slack)
+	if large > small+2 {
+		t.Errorf("allocs per ReportBatchCtx grew with n: %.0f at n=256, %.0f at n=4096 (slack 2)", small, large)
+	}
+	if perPoint := large / 4096; perPoint > 0.01 {
+		t.Errorf("%.4f allocs per point at n=4096, want <= 0.01", perPoint)
 	}
 	t.Logf("allocs per batch: %.0f at n=256, %.0f at n=4096", small, large)
 }
 
-// TestReportAllocsPerLevel guards the warm sequential single-point path: the
-// per-level subgrid is a value, so what a warm Report allocates is at most
-// one object per level (the store lookup's solve closure in channel).
+// TestReportAllocsPerLevel guards the warm single-point path: at Workers=0 a
+// warm Report allocates nothing (the subgrid is a value and a warm store
+// lookup builds no solve closure), and at Workers=4 its pooled per-query
+// stream keeps it at no more than that.
 func TestReportAllocsPerLevel(t *testing.T) {
 	for _, eps := range []float64{0.5, 2} {
-		cfg := concurrencyConfig(0)
-		cfg.Eps = eps
-		m, err := New(cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Precompute(); err != nil {
-			t.Fatal(err)
-		}
-		xs := batchInputs(64, 3)
-		i := 0
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := m.Report(xs[i%len(xs)]); err != nil {
+		allocs := make(map[int]float64)
+		height := 0
+		for _, w := range []int{0, 4} {
+			cfg := concurrencyConfig(w)
+			cfg.Eps = eps
+			m, err := New(cfg, 1)
+			if err != nil {
 				t.Fatal(err)
 			}
-			i++
-		})
-		if h := m.Height(); allocs > float64(h) {
-			t.Errorf("height %d: %.2f allocs per warm Report, want <= %d", h, allocs, h)
+			if err := m.Precompute(); err != nil {
+				t.Fatal(err)
+			}
+			height = m.Height()
+			xs := batchInputs(64, 3)
+			i := 0
+			allocs[w] = testing.AllocsPerRun(200, func() {
+				if _, err := m.Report(xs[i%len(xs)]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+		}
+		if allocs[0] != 0 || allocs[4] > allocs[0] {
+			t.Errorf("height %d: allocs per warm Report %.2f at Workers=0, %.2f at Workers=4; want 0 and no more",
+				height, allocs[0], allocs[4])
 		}
 	}
 }

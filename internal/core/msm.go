@@ -180,8 +180,8 @@ type Mechanism struct {
 	rng   *rand.Rand
 	rngMu sync.Mutex // guards rng for sequential-mode Report
 
-	levelOff []int     // start of each level's cells in a batch slot index; last entry is the total
-	slotPool sync.Pool // *[]int32 batch slot indexes, all zero while pooled
+	levelOff []int     // start of each level's cells in a batch memo's state index; last entry is the total
+	memoPool sync.Pool // *batchMemo, every entry empty while pooled
 }
 
 // New builds an MSM mechanism: it runs the budget allocation of §5 to fix
@@ -388,12 +388,6 @@ func (m *Mechanism) LocalInfo() (radius, massFloor float64, localChannels, dense
 	return m.cfg.LocalRadius, massFloor, m.localChannels.Load(), m.localFallbacks.Load()
 }
 
-// sample draws one descent step from ch with the configured sampler kind
-// (the alias table is built lazily on first use and shared thereafter).
-func (m *Mechanism) sample(ch *opt.Channel, xLocal int, rng *rand.Rand) int {
-	return ch.Sampler(m.cfg.Sampler).Sample(xLocal, rng)
-}
-
 // StoreStats returns a snapshot of the underlying channel store's counters
 // (hits, misses, in-flight solves, resident entries). With an injected
 // shared store the numbers aggregate every mechanism using it.
@@ -470,20 +464,26 @@ func (m *Mechanism) lpOpts() *lp.IPMOptions {
 // (into level+1). The shared store deduplicates concurrent solves of the
 // same key (singleflight), so a cold channel is solved exactly once no
 // matter how many goroutines race for it; with DisableCache the store is
-// bypassed and every call re-solves.
+// bypassed and every call re-solves. A resident channel is read through
+// Lookup, which counts the hit as GetOrComputeCtx would, so a warm lookup
+// builds no solve closure.
 func (m *Mechanism) channel(ctx context.Context, level, parentIdx int) (*opt.Channel, error) {
 	if m.cfg.DisableCache {
 		return m.solveChannel(ctx, level, parentIdx)
 	}
 	key := m.storeKey(level, parentIdx)
-	v, _, err := m.store.GetOrComputeCtx(ctx, key, func(solveCtx context.Context) (any, error) {
-		// solveCtx is the store's detached solve context, not the caller's
-		// request ctx: the solve outlives any individual waiter and is only
-		// canceled when every waiter has abandoned it (or SolveTimeout fires).
-		return m.solveChannel(solveCtx, level, parentIdx)
-	})
-	if err != nil {
-		return nil, err
+	v, ok := m.store.Lookup(key)
+	if !ok {
+		var err error
+		v, _, err = m.store.GetOrComputeCtx(ctx, key, func(solveCtx context.Context) (any, error) {
+			// solveCtx is the store's detached solve context, not the caller's
+			// request ctx: the solve outlives any individual waiter and is only
+			// canceled when every waiter has abandoned it (or SolveTimeout fires).
+			return m.solveChannel(solveCtx, level, parentIdx)
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	// A persisted snapshot passed checksum, key and codec validation, but a
 	// foreign backing could in principle hand back the wrong shape; never
@@ -644,26 +644,24 @@ func (m *Mechanism) ReportCtx(ctx context.Context, x geo.Point) (geo.Point, erro
 	if channel.Workers(m.cfg.Workers) <= 1 {
 		m.rngMu.Lock()
 		defer m.rngMu.Unlock()
-		return m.reportWithCtx(ctx, x, m.rng)
+		return m.descend(ctx, x, m.rng, nil)
 	}
-	qi := m.queryIdx.Add(1) - 1
-	rng := rand.New(rand.NewPCG(m.seed, reportStreamSalt^qi))
-	return m.reportWithCtx(ctx, x, rng)
+	s := opt.GetStream()
+	defer opt.PutStream(s)
+	return m.descend(ctx, x, s.Seed(m.seed, reportStreamSalt^(m.queryIdx.Add(1)-1)), nil)
 }
 
-// ReportBatch sanitizes a slice of locations in one call, amortizing the
-// per-report overhead of the sampling path, and returns the results in input
-// order. With Workers <= 1 the shared RNG mutex is acquired once for the
+// ReportBatch sanitizes a slice of locations in one call and returns the
+// results in input order. Each parent cell's subgrid and sampler are resolved
+// once per batch, through a memo the batch's workers share, instead of once
+// per point. With Workers <= 1 the shared RNG mutex is acquired once for the
 // whole batch and the points are processed sequentially, so the output is
 // bit-identical to calling Report in a loop. With Workers > 1 the batch
-// reserves a contiguous block of query indices and runs Algorithm 1 level by
-// level over the whole batch: each level's distinct (level, parent) channels
-// and subgrids are acquired from the store exactly once per batch — instead
-// of once per point — and the per-point descent steps fan across up to
-// Workers goroutines. Every point draws from the PCG stream of its own query
-// index in per-point order, so the result is independent of the worker count
-// and identical to what a sequential Report loop in the same arrival order
-// would produce.
+// reserves a contiguous block of query indices and fans chunks of batchChunk
+// points across up to Workers goroutines, each worker taking a point through
+// every level. Every point draws from the PCG stream of its own query index,
+// so the result is independent of the worker count and identical to what a
+// Report loop in the same arrival order would produce.
 //
 // Sampling errors abort the batch: the returned slice is nil and the first
 // error (by completion order) is reported.
@@ -671,205 +669,37 @@ func (m *Mechanism) ReportBatch(xs []geo.Point) ([]geo.Point, error) {
 	return m.ReportBatchCtx(context.Background(), xs)
 }
 
-// ReportBatchCtx is ReportBatch under a context: the pooled fan-out polls
-// ctx once per chunk of points (the sequential path every 32 points), so a
-// cancel drains the workers promptly and the call returns ctx.Err(). When
-// ctx is never canceled the output is bit-identical to ReportBatch (the
-// polls consume no randomness).
+// ReportBatchCtx is ReportBatch under a context: the descent polls ctx once
+// per chunk of points, so a cancel drains the workers promptly and the call
+// returns ctx.Err(). When ctx is never canceled the output is bit-identical
+// to ReportBatch (the polls consume no randomness).
 func (m *Mechanism) ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.Point, error) {
 	m.queries.Add(int64(len(xs)))
 	out := make([]geo.Point, len(xs))
-	if len(xs) == 0 {
-		return out, nil
-	}
-	workers := channel.Workers(m.cfg.Workers)
-	if workers <= 1 {
+	var err error
+	if workers := channel.Workers(m.cfg.Workers); workers <= 1 {
 		m.rngMu.Lock()
 		defer m.rngMu.Unlock()
-		if err := m.reportBatchSeq(ctx, xs, out, m.rng); err != nil {
-			return nil, err
-		}
-		return out, nil
+		err = m.release(ctx, xs, out, m.rng, 0, 1)
+	} else {
+		n := uint64(len(xs))
+		err = m.release(ctx, xs, out, nil, m.queryIdx.Add(n)-n, workers)
 	}
-	base := m.queryIdx.Add(uint64(len(xs))) - uint64(len(xs))
-	if err := m.reportBatchLevels(ctx, xs, out, base, workers); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// batchChunk is the number of consecutive points one worker claims at a
-// time in the pooled batch descent: large enough that the shared claim
-// counter and the ctx poll vanish from the per-point cost, small enough that
-// a 1k-point batch still spreads over 16 claims.
-const batchChunk = 64
-
-// batchSlot is one (level, parent cell) a batch descends through: its
-// subgrid and the sampler of its channel, acquired once per batch. pos is
-// the slot's entry in the mechanism's slot index.
-type batchSlot struct {
-	pos     int
-	sub     grid.Grid
-	sampler opt.Sampler
-}
-
-// acquire fetches the slot's channel and subgrid and resolves its sampler.
-func (m *Mechanism) acquire(ctx context.Context, s *batchSlot, level, parent int) error {
-	ch, err := m.channel(ctx, level, parent)
-	if err != nil {
-		return err
-	}
-	s.sub = m.hier.SubGrid(level, parent)
-	s.sampler = ch.Sampler(m.cfg.Sampler)
-	return nil
-}
-
-// getSlotIndex borrows a slot index: one int32 per (level, parent cell) of
-// the whole hierarchy, level l starting at levelOff[l], holding slot+1 for a
-// cell the batch has acquired and 0 otherwise. Indexes are pooled and come
-// back all zero (putSlotIndex clears exactly the entries a batch set), so a
-// small batch over a deep hierarchy never pays to clear the untouched cells.
-func (m *Mechanism) getSlotIndex() *[]int32 {
-	if idx, ok := m.slotPool.Get().(*[]int32); ok {
-		return idx
-	}
-	idx := make([]int32, m.levelOff[m.Height()])
-	return &idx
-}
-
-// putSlotIndex zeroes the entries of slots and returns idx to the pool.
-func (m *Mechanism) putSlotIndex(idx *[]int32, slots []batchSlot) {
-	for _, s := range slots {
-		(*idx)[s.pos] = 0
-	}
-	m.slotPool.Put(idx)
-}
-
-// reportBatchLevels is the pooled Workers>1 batch descent. Per level it
-// assigns the batch's distinct parent cells dense slots, acquires each
-// slot's channel, subgrid and sampler once, and then advances every point
-// one step, fanning contiguous chunks of batchChunk points across the
-// workers. Point i draws from its own PCG stream (query index base+i) in the
-// same order a per-point ReportCell descent would, so outputs are
-// bit-identical to the per-point path for any worker count. The streams and
-// generators live in two per-batch value slices, so the descent allocates
-// per batch, not per point.
-func (m *Mechanism) reportBatchLevels(ctx context.Context, xs, out []geo.Point, base uint64, workers int) error {
-	n := len(xs)
-	pcgs := make([]rand.PCG, n)
-	rngs := make([]rand.Rand, n)
-	clamped := make([]geo.Point, n)
-	parents := make([]int, n) // level-0 parent is the virtual root, index 0
-	idxp := m.getSlotIndex()
-	idx := *idxp
-	var slots []batchSlot
-	defer func() { m.putSlotIndex(idxp, slots) }()
-	chunks := (n + batchChunk - 1) / batchChunk
-	for level := 0; level < m.Height(); level++ {
-		first := len(slots)
-		off := m.levelOff[level]
-		for _, p := range parents {
-			if idx[off+p] == 0 {
-				slots = append(slots, batchSlot{pos: off + p})
-				idx[off+p] = int32(len(slots))
-			}
-		}
-		cur := slots[first:] // this level's slots, just appended
-		if err := channel.ForEachCtx(ctx, workers, len(cur), func(j int) error {
-			return m.acquire(ctx, &cur[j], level, cur[j].pos-off)
-		}); err != nil {
-			return err
-		}
-		if err := channel.ForEachCtx(ctx, workers, chunks, func(c int) error {
-			lo, hi := c*batchChunk, min((c+1)*batchChunk, n)
-			if level == 0 {
-				for i := lo; i < hi; i++ {
-					pcgs[i].Seed(m.seed, reportStreamSalt^(base+uint64(i)))
-					rngs[i] = *rand.New(&pcgs[i])
-					clamped[i] = m.cfg.Region.Clamp(xs[i])
-				}
-			}
-			for i := lo; i < hi; i++ {
-				s := &slots[idx[off+parents[i]]-1]
-				rng := &rngs[i]
-				// Algorithm 1 line 10: points outside the selected subdomain
-				// substitute a uniformly random logical location.
-				xLocal, ok := s.sub.CellIndex(clamped[i])
-				if !ok {
-					xLocal = rng.IntN(s.sub.NumCells())
-				}
-				parents[i] = m.hier.ChildIndex(level, parents[i], s.sampler.Sample(xLocal, rng))
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	leaf := m.LeafGrid()
-	for i, p := range parents {
-		out[i] = leaf.Center(p)
-	}
-	return nil
-}
-
-// reportBatchSeq runs the sequential batch descent: points in input order,
-// every sample drawn from rng, so the output is bit-identical to a ReportWith
-// loop. The only difference from the loop is that each (level, parent)
-// channel, subgrid and sampler is acquired once per batch, on first use, into
-// a slot of the mechanism's slot index — the acquisition consumes no
-// randomness, so the draw stream is unchanged. (With DisableCache this means
-// one solve per distinct subdomain per batch rather than one per point: a
-// batch acquires each channel once by contract.)
-func (m *Mechanism) reportBatchSeq(ctx context.Context, xs, out []geo.Point, rng *rand.Rand) error {
-	idxp := m.getSlotIndex()
-	idx := *idxp
-	var slots []batchSlot
-	defer func() { m.putSlotIndex(idxp, slots) }()
-	leaf := m.LeafGrid()
-	h := m.Height()
-	cancelable := ctx.Done() != nil
-	for i, x := range xs {
-		// Poll with a stride: one warm descent is a few hundred ns, so a
-		// 32-point stride still cancels within ~10µs while keeping the
-		// ctx.Err() cost off the per-point hot path.
-		if cancelable && i&31 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		x = m.cfg.Region.Clamp(x)
-		parent := 0 // virtual root
-		for level := 0; level < h; level++ {
-			pos := m.levelOff[level] + parent
-			if idx[pos] == 0 {
-				slots = append(slots, batchSlot{pos: pos})
-				if err := m.acquire(ctx, &slots[len(slots)-1], level, parent); err != nil {
-					return err
-				}
-				idx[pos] = int32(len(slots))
-			}
-			s := &slots[idx[pos]-1]
-			// Algorithm 1 line 10: points outside the selected subdomain
-			// substitute a uniformly random logical location.
-			xLocal, inSub := s.sub.CellIndex(x)
-			if !inSub {
-				xLocal = rng.IntN(s.sub.NumCells())
-			}
-			parent = m.hier.ChildIndex(level, parent, s.sampler.Sample(xLocal, rng))
-		}
-		out[i] = leaf.Center(parent)
-	}
-	return nil
 }
 
 // ReportBatchWith is ReportBatch with a caller-supplied RNG: always
 // sequential in input order regardless of Workers, drawing every sample from
 // rng, so the output matches a ReportWith loop exactly. The evaluation
 // harness uses it to keep experiment output bit-identical to the historical
-// per-point loop.
+// per-point loop. (With DisableCache each distinct parent cell is solved once
+// per batch rather than once per point.)
 func (m *Mechanism) ReportBatchWith(xs []geo.Point, rng *rand.Rand) ([]geo.Point, error) {
 	out := make([]geo.Point, len(xs))
-	if err := m.reportBatchSeq(context.Background(), xs, out, rng); err != nil {
+	if err := m.release(context.Background(), xs, out, rng, 0, 1); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -878,46 +708,151 @@ func (m *Mechanism) ReportBatchWith(xs []geo.Point, rng *rand.Rand) ([]geo.Point
 // ReportWith is Report with a caller-supplied RNG (not counted in Stats'
 // query counter when called directly).
 func (m *Mechanism) ReportWith(x geo.Point, rng *rand.Rand) (geo.Point, error) {
-	return m.reportWithCtx(context.Background(), x, rng)
+	return m.descend(context.Background(), x, rng, nil)
 }
 
-func (m *Mechanism) reportWithCtx(ctx context.Context, x geo.Point, rng *rand.Rand) (geo.Point, error) {
-	idx, err := m.ReportCellCtx(ctx, x, rng)
-	if err != nil {
-		return geo.Point{}, err
+// batchChunk is the number of consecutive points one worker claims at a
+// time in the batch descent: large enough that the shared claim counter and
+// the ctx poll vanish from the per-point cost, small enough that a 1k-point
+// batch still spreads over 16 claims.
+const batchChunk = 64
+
+// release descends every point of xs into out, fanning chunks of batchChunk
+// points across workers with one memo for the whole batch. With rng set the
+// points draw from it in input order (workers must then be 1); otherwise
+// point i draws from the PCG stream of query index base+i, through one stream
+// per chunk re-seeded per point.
+func (m *Mechanism) release(ctx context.Context, xs, out []geo.Point, rng *rand.Rand, base uint64, workers int) error {
+	memo := m.getMemo(len(xs))
+	defer m.putMemo(memo)
+	chunks := (len(xs) + batchChunk - 1) / batchChunk
+	var streams []opt.Stream
+	if rng == nil {
+		streams = make([]opt.Stream, chunks)
 	}
-	return m.LeafGrid().Center(idx), nil
+	return channel.ForEachCtx(ctx, workers, chunks, func(c int) error {
+		r := rng
+		for i := c * batchChunk; i < min((c+1)*batchChunk, len(xs)); i++ {
+			if streams != nil {
+				r = streams[c].Seed(m.seed, reportStreamSalt^(base+uint64(i)))
+			}
+			z, err := m.descend(ctx, xs[i], r, memo)
+			if err != nil {
+				return err
+			}
+			out[i] = z
+		}
+		return nil
+	})
 }
 
-// ReportCell runs the multi-step descent and returns the index of the
-// selected leaf cell.
-func (m *Mechanism) ReportCell(x geo.Point, rng *rand.Rand) (int, error) {
-	return m.ReportCellCtx(context.Background(), x, rng)
+// batchSlot is one parent cell a batch descends through: its subgrid and the
+// sampler of its channel. pos is the cell's entry in the memo's state index.
+type batchSlot struct {
+	pos     int
+	sub     grid.Grid
+	sampler opt.Sampler
 }
 
-// ReportCellCtx is ReportCell under a context; the per-level channel
-// acquisitions observe ctx, so canceling it aborts a cold descent promptly.
-func (m *Mechanism) ReportCellCtx(ctx context.Context, x geo.Point, rng *rand.Rand) (int, error) {
+// batchMemo holds, for one batch, the slot of every parent cell the batch has
+// resolved, shared by the batch's workers. state has one entry per hierarchy
+// cell, level l's cells starting at levelOff[l]: memoEmpty, memoBusy, or
+// memoReady+k once slots[k] holds the cell. An entry goes empty -> busy ->
+// ready at most once per batch; only the worker that wins the first
+// transition claims and writes a slot, and readers touch a slot only after
+// observing ready. Memos are pooled and come back with every entry empty
+// (putMemo clears exactly the entries a batch set), so a small batch over a
+// deep hierarchy never pays to clear the untouched cells.
+type batchMemo struct {
+	state []atomic.Uint32
+	slots []batchSlot
+	used  atomic.Int32 // slots claimed
+}
+
+const (
+	memoEmpty uint32 = iota
+	memoBusy
+	memoReady
+)
+
+// getMemo borrows a memo with room for every parent cell a batch of n points
+// can touch: at most min(n, cells) at each level.
+func (m *Mechanism) getMemo(n int) *batchMemo {
+	memo, ok := m.memoPool.Get().(*batchMemo)
+	if !ok {
+		memo = &batchMemo{state: make([]atomic.Uint32, m.levelOff[m.Height()])}
+	}
+	need := 0
+	for level := 0; level < m.Height(); level++ {
+		need += min(n, m.levelOff[level+1]-m.levelOff[level])
+	}
+	if len(memo.slots) < need {
+		memo.slots = make([]batchSlot, need)
+	}
+	return memo
+}
+
+// putMemo empties the entries and slots memo's batch claimed and returns it
+// to the pool.
+func (m *Mechanism) putMemo(memo *batchMemo) {
+	for k := range memo.used.Load() {
+		memo.state[memo.slots[k].pos].Store(memoEmpty)
+		memo.slots[k].sampler = nil
+	}
+	memo.used.Store(0)
+	m.memoPool.Put(memo)
+}
+
+// slot resolves the subgrid and sampler of parent cell parent at level: from
+// memo when the batch already holds them, otherwise through the channel
+// store into *scratch, publishing a copy to memo, if any. A worker that finds
+// the entry mid-publication resolves through the store too: the singleflight
+// store hands both the same channel.
+func (m *Mechanism) slot(ctx context.Context, level, parent int, memo *batchMemo, scratch *batchSlot) (*batchSlot, error) {
+	pos := m.levelOff[level] + parent
+	if memo != nil {
+		if v := memo.state[pos].Load(); v >= memoReady {
+			return &memo.slots[v-memoReady], nil
+		}
+	}
+	ch, err := m.channel(ctx, level, parent)
+	if err != nil {
+		return nil, err
+	}
+	*scratch = batchSlot{pos: pos, sub: m.hier.SubGrid(level, parent), sampler: ch.Sampler(m.cfg.Sampler)}
+	if memo != nil && memo.state[pos].CompareAndSwap(memoEmpty, memoBusy) {
+		k := memo.used.Add(1) - 1
+		memo.slots[k] = *scratch
+		memo.state[pos].Store(memoReady + uint32(k))
+	}
+	return scratch, nil
+}
+
+// descend runs Algorithm 1 for x: at each level it runs the selected parent
+// cell's OPT channel on x's cell in that parent's subgrid and moves into the
+// drawn child; the final leaf cell's center is reported. Resolving a slot
+// consumes no randomness, so the draw stream is the same with or without
+// memo.
+func (m *Mechanism) descend(ctx context.Context, x geo.Point, rng *rand.Rand, memo *batchMemo) (geo.Point, error) {
 	x = m.cfg.Region.Clamp(x)
 	parent := 0 // virtual root
+	var scratch batchSlot
 	for level := 0; level < m.Height(); level++ {
-		ch, err := m.channel(ctx, level, parent)
+		s, err := m.slot(ctx, level, parent, memo, &scratch)
 		if err != nil {
-			return 0, err
+			return geo.Point{}, err
 		}
-		sub := m.hier.SubGrid(level, parent)
 		// x-hat_i: the user's logical location at this level. When the
 		// actual location falls outside the selected subdomain (possible by
 		// design: the previous level may have reported a different cell),
 		// Algorithm 1 line 10 substitutes a uniformly random location.
-		xLocal, ok := sub.CellIndex(x)
+		xLocal, ok := s.sub.CellIndex(x)
 		if !ok {
-			xLocal = rng.IntN(sub.NumCells())
+			xLocal = rng.IntN(s.sub.NumCells())
 		}
-		zLocal := m.sample(ch, xLocal, rng)
-		parent = m.hier.ChildIndex(level, parent, zLocal)
+		parent = m.hier.ChildIndex(level, parent, s.sampler.Sample(xLocal, rng))
 	}
-	return parent, nil
+	return m.LeafGrid().Center(parent), nil
 }
 
 // Precompute eagerly solves every channel in the index (the paper's offline

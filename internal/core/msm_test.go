@@ -316,9 +316,13 @@ func TestExactChannelMatchesSampling(t *testing.T) {
 	const trials = 60000
 	counts := make([]int, n)
 	for i := 0; i < trials; i++ {
-		z, err := m.ReportCell(x, rng)
+		out, err := m.ReportWith(x, rng)
 		if err != nil {
 			t.Fatal(err)
+		}
+		z, ok := m.LeafGrid().CellIndex(out)
+		if !ok {
+			t.Fatalf("released %v lies outside the leaf grid", out)
 		}
 		counts[z]++
 	}

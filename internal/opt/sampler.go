@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync"
 )
 
 // Warm-path sampling is abstracted behind Sampler so the serving layers can
@@ -62,6 +63,33 @@ func ParseSamplerKind(s string) (SamplerKind, error) {
 // only mutable state, owned by the caller.
 type Sampler interface {
 	Sample(x int, rng *rand.Rand) int
+}
+
+// Stream is a reusable caller-owned generator for Sampler draws. A PCG
+// re-seeded in place draws exactly what a fresh rand.NewPCG would, and
+// rand.Rand keeps no state of its own, so one Stream serves query after query
+// without allocating. The zero value is ready to Seed. Single queries borrow
+// one with GetStream and hand it back with PutStream once its generator is no
+// longer used; batches keep one per chunk of points in a slice.
+type Stream struct {
+	pcg rand.PCG
+	rng rand.Rand
+}
+
+var streams = sync.Pool{New: func() any { return new(Stream) }}
+
+// GetStream borrows a Stream from the pool.
+func GetStream() *Stream { return streams.Get().(*Stream) }
+
+// PutStream returns s to the pool.
+func PutStream(s *Stream) { streams.Put(s) }
+
+// Seed re-seeds s to the PCG stream (seed, seq) and returns its generator,
+// which then draws what rand.New(rand.NewPCG(seed, seq)) would.
+func (s *Stream) Seed(seed, seq uint64) *rand.Rand {
+	s.pcg.Seed(seed, seq)
+	s.rng = *rand.New(&s.pcg)
+	return &s.rng
 }
 
 // searchCum locates u in a cumulative row by binary search: the smallest i

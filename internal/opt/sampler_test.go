@@ -306,3 +306,18 @@ func TestAliasSharingConcurrentBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamSeedMatchesFreshPCG: a pooled Stream re-seeded in place, after
+// drawing from other seeds, draws exactly what a fresh generator does.
+func TestStreamSeedMatchesFreshPCG(t *testing.T) {
+	s := GetStream()
+	defer PutStream(s)
+	for seq := uint64(0); seq < 4; seq++ {
+		got, want := s.Seed(7, seq), rand.New(rand.NewPCG(7, seq))
+		for i := 0; i < 5+int(seq); i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seq %d draw %d: stream %d, fresh %d", seq, i, g, w)
+			}
+		}
+	}
+}
