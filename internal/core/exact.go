@@ -80,11 +80,3 @@ func (m *Mechanism) exactRow(x geo.Point) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// SnappedDistance returns the distance between the level-i logical locations
-// (cell centers at the level-i full grid) of points a and b, the
-// distinguishability distance that level i's OPT channel operates on.
-func (m *Mechanism) SnappedDistance(level int, a, b geo.Point) float64 {
-	g := m.hier.LevelGrid(level)
-	return g.Snap(a).Dist(g.Snap(b))
-}

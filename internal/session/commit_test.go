@@ -18,10 +18,10 @@ import (
 // user's records got and which tickets each completed fsync covered, and it
 // injects write and fsync failures.
 type faultSegment struct {
-	segment
+	file
 
 	mu        sync.Mutex
-	writeErr  error // returned by every Write once set
+	writeErr  error // returned by every WriteAt once set
 	short     int   // with writeErr: bytes of the frame written before failing
 	syncErr   error // returned by every Sync once set
 	syncDelay time.Duration
@@ -36,19 +36,19 @@ type faultSegment struct {
 func injectSegment(s *Store, fs *faultSegment) {
 	s.j.mu.Lock()
 	defer s.j.mu.Unlock()
-	fs.segment = s.j.f
+	fs.file = s.j.f
 	fs.tickets = make(map[string]uint64)
 	s.j.f = fs
 }
 
-func (fs *faultSegment) Write(p []byte) (int, error) {
+func (fs *faultSegment) WriteAt(p []byte, off int64) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.writeErr != nil {
-		n, _ := fs.segment.Write(p[:fs.short])
+		n, _ := fs.file.WriteAt(p[:fs.short], off)
 		return n, fs.writeErr
 	}
-	n, err := fs.segment.Write(p)
+	n, err := fs.file.WriteAt(p, off)
 	if err != nil {
 		return n, err
 	}
@@ -69,7 +69,7 @@ func (fs *faultSegment) Sync() error {
 	if err != nil {
 		return err
 	}
-	if err := fs.segment.Sync(); err != nil {
+	if err := fs.file.Sync(); err != nil {
 		return err
 	}
 	time.Sleep(delay)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,7 +103,7 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walPath := filepath.Join(dir, walName)
+	walPath := segPath(s, true)
 	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +127,10 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
-// TestJournalTornHeaderRecovers simulates a crash between segment creation
-// and the header write reaching disk: a segment shorter than its header
-// must be recovered like a torn tail (truncated, re-headed, anomaly
-// counted), not treated as positive corruption that refuses to open.
+// TestJournalTornHeaderRecovers simulates a crash while the spare segment's
+// header was being written: a segment shorter than its header must be
+// recovered like a torn tail (re-headed, anomaly counted), not treated as
+// positive corruption that refuses to open.
 func TestJournalTornHeaderRecovers(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Limit: 5, Window: time.Hour, Dir: dir}
@@ -144,9 +145,9 @@ func TestJournalTornHeaderRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Close compacted: the state lives in the snapshot and the active
-	// segment is a bare header. Tear that header short.
-	walPath := filepath.Join(dir, walName)
+	// Close compacted: the state lives in the snapshot and the spare
+	// segment holds nothing but its header. Tear that header short.
+	walPath := segPath(s, false)
 	if err := os.Truncate(walPath, int64(walHeaderLen/2)); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestJournalCorruptHeaderWithRecordsFails(t *testing.T) {
 	}
 	_ = s.j.close() // keep the record in the segment (no compaction)
 
-	walPath := filepath.Join(dir, walName)
+	walPath := segPath(s, true)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +274,7 @@ func TestJournalCorruptRecordFails(t *testing.T) {
 	}
 	_ = s.j.close() // leave the records in the segment (no compaction)
 
-	walPath := filepath.Join(dir, walName)
+	walPath := segPath(s, true)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +285,73 @@ func TestJournalCorruptRecordFails(t *testing.T) {
 	}
 	if _, err := Open(cfg); !errors.Is(err, ErrJournal) {
 		t.Fatalf("open over corrupt record: got %v, want ErrJournal", err)
+	}
+}
+
+// TestJournalLostSnapshotFails: when the newest snapshot slot is damaged
+// after the segment it covered was recycled, the older slot no longer
+// matches the segments on disk, and Open refuses rather than forget the
+// spends only the lost snapshot held.
+func TestJournalLostSnapshotFails(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Limit: 5, Window: time.Hour, Dir: dir}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Spend("u", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	newest := 0
+	if s.j.slotGen[1] > s.j.slotGen[0] {
+		newest = 1
+	}
+	path := filepath.Join(dir, slotName(newest))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(cfg); !errors.Is(err, ErrJournal) {
+		t.Fatalf("open with the newest snapshot lost: got %v, want ErrJournal", err)
+	}
+}
+
+// TestJournalCorruptLengthFails: a bit flip that lengthens an acknowledged
+// frame over the acknowledged frame after it, to past the last nonzero
+// byte, is corruption, not a torn tail that would forget that spend.
+func TestJournalCorruptLengthFails(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Limit: 5, Window: time.Hour, Dir: dir}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Spend("u", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = s.j.close() // leave the records in the segment (no compaction)
+
+	walPath := segPath(s, true)
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := 4 + recordFixed + 1 + 4 // user "u"
+	data[walHeaderLen+frame] ^= 0x40 // the second frame's length grows by 64 bytes
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(cfg); !errors.Is(err, ErrJournal) {
+		t.Fatalf("open over a corrupt record length: got %v, want ErrJournal", err)
 	}
 }
 
@@ -332,9 +400,7 @@ func TestJournalCompaction(t *testing.T) {
 	if st.Journal.Compactions < 2 {
 		t.Fatalf("compactions = %d, want >= 2 (open + size-triggered)", st.Journal.Compactions)
 	}
-	if _, err := os.Stat(filepath.Join(dir, walOldName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("rotated segment left behind after Close: %v", err)
-	}
+	assertJournalFiles(t, dir)
 
 	s2 := mustOpen(t, cfg)
 	for u, spent := range want {
@@ -357,15 +423,9 @@ func TestJournalLeftoverRotatedSegment(t *testing.T) {
 	if err := s.Spend("u", 10); err != nil { // goes to the active segment
 		t.Fatal(err)
 	}
-	// Hand-rotate without snapshotting, as if compaction died right after
-	// the rename.
-	if err := s.j.close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(filepath.Join(dir, walName), filepath.Join(dir, walOldName)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.j.openSegment(); err != nil {
+	// Rotate without snapshotting, as if compaction died right after the
+	// switch to the spare.
+	if err := s.j.rotate(); err != nil {
 		t.Fatal(err)
 	}
 	s.Spend("u", 5) // lands in the fresh segment
@@ -375,9 +435,16 @@ func TestJournalLeftoverRotatedSegment(t *testing.T) {
 	if r := s2.Remaining("u"); math.Abs(r-85) > 1e-9 {
 		t.Fatalf("remaining = %g, want 85 (10 from rotated + 5 from active)", r)
 	}
-	// Open's compaction must have cleaned the leftover.
-	if _, err := os.Stat(filepath.Join(dir, walOldName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("leftover rotated segment survived open: %v", err)
+	// Open's compaction must have retired the leftover: the segment that
+	// is not active is an all-zero spare one generation ahead.
+	data, err := os.ReadFile(segPath(s2, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := checkWALHeader(data, JournalVersion, cfg.Limit, cfg.Window)
+	if err != nil || gen != s2.j.segs[s2.j.act].gen+1 || lastNonzero(data) > walHeaderLen {
+		t.Fatalf("leftover rotated segment survived open: generation %d (%v), active %d, %d bytes up to the last nonzero",
+			gen, err, s2.j.segs[s2.j.act].gen, lastNonzero(data))
 	}
 }
 
@@ -406,6 +473,33 @@ func TestJournalOwnership(t *testing.T) {
 	}
 	if r := s2.Remaining("theirs"); r != 5 {
 		t.Fatalf("non-owned user remaining = %g, want 5 (never journaled)", r)
+	}
+}
+
+// segPath returns the path of s's active segment, or of the other one.
+func segPath(s *Store, active bool) string {
+	i := s.j.act
+	if !active {
+		i = 1 - i
+	}
+	return filepath.Join(s.j.dir, segName(i))
+}
+
+// assertJournalFiles checks that dir holds the journal's four files and
+// nothing else.
+func assertJournalFiles(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	want := []string{slotName(0), slotName(1), segName(0), segName(1)}
+	if !slices.Equal(names, want) {
+		t.Fatalf("journal directory holds %v, want %v", names, want)
 	}
 }
 

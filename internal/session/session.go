@@ -141,9 +141,14 @@ type Stats struct {
 }
 
 // Open creates a session store. With cfg.Dir set it replays the journal in
-// that directory (snapshot, then rotated and current journal segments),
+// that directory (the newest snapshot, then the segments it does not cover),
 // sweeps stale entries, and compacts so the journal starts the run empty.
 func Open(cfg Config) (*Store, error) {
+	return open(cfg, osFS)
+}
+
+// open is Open with the journal's file system calls going through fs.
+func open(cfg Config, fs fsys) (*Store, error) {
 	if !(cfg.Limit > 0) {
 		return nil, fmt.Errorf("session: limit %g must be positive", cfg.Limit)
 	}
@@ -167,7 +172,7 @@ func Open(cfg Config) (*Store, error) {
 		s.shards[i].steps = make(map[string]*stepLock)
 	}
 	if cfg.Dir != "" {
-		j, states, err := openJournal(cfg, fsyncDir)
+		j, states, err := openJournal(cfg, fs)
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +194,7 @@ func Open(cfg Config) (*Store, error) {
 		s.seq.Store(maxSeq)
 		s.Sweep()
 		// Compact immediately so startup replay cost stays bounded: the
-		// snapshot now carries everything and both journal segments reset.
+		// snapshot now carries everything and appends start a fresh segment.
 		if err := s.j.compact(s.exportOwned); err != nil {
 			_ = s.j.close()
 			return nil, err
