@@ -41,13 +41,13 @@ race:
 # in-process fleet tests; the session Concurrent/Journal suites hammer
 # Spend/Refund/Save across shards while the journal appends and compacts;
 # the ReportBatch suites race the pooled batch descent's chunked fan-out over
-# the per-batch memo its workers share (in internal/core and
-# internal/adaptive), pin its output to the per-point path and count its cold
-# solves, and SearchCum pins the inline cumulative-row search to
-# sort.SearchFloat64s.
+# the per-batch memo its workers share (in the internal/descent engine and
+# its internal/core and internal/adaptive partitions), pin its output to the
+# per-point path and count its cold solves, and SearchCum pins the inline
+# cumulative-row search to sort.SearchFloat64s.
 race-persist:
 	$(GO) test -race -count=2 -run 'Snapshot|DirCache|Backing|WarmRestart|CacheBytes|AliasSharing|LocalParallel|RelevanceDomain|Remote|Tiered|Ring|Fabric|Fleet|Concurrent|Journal|Rollover|Trace|ReportBatch|SearchCum' \
-		./internal/channel ./internal/opt ./internal/fabric ./internal/session ./internal/server ./internal/core ./internal/adaptive .
+		./internal/channel ./internal/opt ./internal/fabric ./internal/session ./internal/server ./internal/descent ./internal/core ./internal/adaptive .
 
 # Regenerate the seeded tables of six experiments (a few seconds in all) and
 # fail when any table row of the output is not in EXPERIMENTS.md verbatim:

@@ -150,13 +150,13 @@ func (a *AdaptiveMSM) NumNodes() int { return a.m.Tree().NumNodes() }
 
 // StoreStats returns the full channel-store counter snapshot, including
 // snapshot-persistence activity (disk hits and write-behind writes).
-func (a *AdaptiveMSM) StoreStats() channel.Stats { return a.m.StoreStats() }
+func (a *AdaptiveMSM) StoreStats() channel.Stats { return a.m.Store().Stats() }
 
 // DirCacheStats returns the persistent snapshot cache's own counters — loads,
 // hits, decode errors, and version misses (intact files written by a foreign
 // snapshot format version). ok is false when no cache directory is
 // configured.
-func (a *AdaptiveMSM) DirCacheStats() (channel.DirStats, bool) { return a.m.DirCacheStats() }
+func (a *AdaptiveMSM) DirCacheStats() (channel.DirStats, bool) { return a.m.Store().BackingStats() }
 
 // SamplerInfo reports the warm-path sampling configuration (sampler kind,
 // configured prune mass) and the pruning counters: solved node channels
@@ -168,7 +168,7 @@ func (a *AdaptiveMSM) SamplerInfo() (kind string, pruneMass float64, pruned, fal
 // FlushCache blocks until every solved channel handed to the persistent
 // snapshot cache (AdaptiveMSMConfig.CacheDir) has been written to disk; a
 // no-op without a cache directory.
-func (a *AdaptiveMSM) FlushCache() { a.m.SyncStore() }
+func (a *AdaptiveMSM) FlushCache() { a.m.Store().Sync() }
 
 var (
 	_ Mechanism         = (*AdaptiveMSM)(nil)

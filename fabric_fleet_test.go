@@ -297,7 +297,7 @@ func flapOwnedReportPoints(t *testing.T, m *geoind.MSM, n int) []geoind.Point {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.Precompute(); err != nil {
+	if err := twin.PrecomputeCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// The twin must derive m's keys: m rejects a foreign key as unknown.

@@ -508,9 +508,6 @@ type MSMConfig struct {
 	PriorPoints []Point
 	// Seed fixes the sampling randomness.
 	Seed uint64
-	// DisableCache turns off channel memoization (for benchmarking the
-	// cold path).
-	DisableCache bool
 	// Workers bounds the parallelism of the channel pipeline: LP block
 	// factorizations, Precompute fan-out across the hierarchy, and — when
 	// greater than one — lock-free per-query sampling streams so concurrent
@@ -649,7 +646,6 @@ func NewMSM(cfg MSMConfig) (*MSM, error) {
 		Metric:         cfg.Metric,
 		MaxHeight:      cfg.MaxHeight,
 		PriorPoints:    cfg.PriorPoints,
-		DisableCache:   cfg.DisableCache,
 		Workers:        cfg.Workers,
 		Store:          store,
 		SpannerStretch: cfg.SpannerStretch,
@@ -716,7 +712,7 @@ func newChannelStore(cfg MSMConfig) (*channel.Store, *fabric.Fabric, error) {
 }
 
 // Report implements Mechanism.
-func (m *MSM) Report(x Point) (Point, error) { return m.m.Report(x) }
+func (m *MSM) Report(x Point) (Point, error) { return m.m.ReportCtx(context.Background(), x) }
 
 // ReportCtx implements MechanismCtx: canceling ctx aborts an in-flight cold
 // report promptly (abandoning — not killing — any channel solve that still
@@ -729,7 +725,9 @@ func (m *MSM) ReportCtx(ctx context.Context, x Point) (Point, error) {
 // stream once and, with Workers > 1, fans the descents across the worker
 // pool. Results come back in input order, identical to a sequential Report
 // loop for the same seed and arrival order at any worker count.
-func (m *MSM) ReportBatch(points []Point) ([]Point, error) { return m.m.ReportBatch(points) }
+func (m *MSM) ReportBatch(points []Point) ([]Point, error) {
+	return m.m.ReportBatchCtx(context.Background(), points)
+}
 
 // ReportBatchCtx implements BatchMechanismCtx: a cancel drains the pooled
 // fan-out promptly and returns ctx.Err(); uncanceled output is bit-identical
@@ -757,7 +755,7 @@ func (m *MSM) LeafGranularity() int { return m.m.LeafGrid().Granularity() }
 
 // Precompute solves every channel in the index up front (the paper's
 // offline phase), so that subsequent reports only sample.
-func (m *MSM) Precompute() error { return m.m.Precompute() }
+func (m *MSM) Precompute() error { return m.m.PrecomputeCtx(context.Background()) }
 
 // PrecomputeCtx is Precompute under a context: canceling ctx (e.g. SIGINT
 // during warmup) stops issuing new solves and returns ctx.Err(); channels
@@ -771,19 +769,19 @@ func (m *MSM) Stats() (queries, solves int) { return m.m.Stats() }
 // solve (hits, including requests deduplicated against an in-flight solve),
 // solves performed (misses), and resident channels.
 func (m *MSM) CacheStats() (hits, misses, entries int64) {
-	st := m.m.StoreStats()
+	st := m.m.Store().Stats()
 	return st.Hits, st.Misses, st.Entries
 }
 
 // StoreStats returns the full channel-store counter snapshot, including
 // snapshot-persistence activity (disk hits and write-behind writes).
-func (m *MSM) StoreStats() channel.Stats { return m.m.StoreStats() }
+func (m *MSM) StoreStats() channel.Stats { return m.m.Store().Stats() }
 
 // DirCacheStats returns the persistent snapshot cache's own counters — loads,
 // hits, decode errors, and version misses (intact files written by a foreign
 // snapshot format version, e.g. a v1 directory warming a v2 process). ok is
 // false when no cache directory is configured.
-func (m *MSM) DirCacheStats() (channel.DirStats, bool) { return m.m.DirCacheStats() }
+func (m *MSM) DirCacheStats() (channel.DirStats, bool) { return m.m.Store().BackingStats() }
 
 // SamplerInfo reports the warm-path sampling configuration (sampler kind,
 // configured prune mass) and the pruning counters: solved channels
@@ -806,7 +804,7 @@ func (m *MSM) LocalInfo() (radius, massFloor float64, localChannels, denseFallba
 // directory or fabric. Call after Precompute, or before shutdown, to
 // guarantee the next process finds a fully populated cache.
 func (m *MSM) FlushCache() {
-	m.m.SyncStore()
+	m.m.Store().Sync()
 	if m.fab != nil {
 		m.fab.Sync()
 	}

@@ -101,10 +101,10 @@ func TestKDConcurrentSingleflight(t *testing.T) {
 		}
 	}
 	walk(m.Tree().Root)
-	if got := m.Stats(); got != inner {
+	if _, got := m.Stats(); got != inner {
 		t.Errorf("solves = %d, want exactly one per inner node (%d)", got, inner)
 	}
-	st := m.StoreStats()
+	st := m.Store().Stats()
 	if int(st.Misses) != inner || int(st.Entries) != inner {
 		t.Errorf("store misses/entries = %d/%d, want %d/%d", st.Misses, st.Entries, inner, inner)
 	}
@@ -140,10 +140,10 @@ func TestQuadConcurrentSingleflight(t *testing.T) {
 		}
 	}
 	walk(m.Tree().Root)
-	if got := m.Stats(); got != inner {
+	if _, got := m.Stats(); got != inner {
 		t.Errorf("solves = %d, want exactly one per inner node (%d)", got, inner)
 	}
-	st := m.StoreStats()
+	st := m.Store().Stats()
 	if int(st.Misses) != inner || int(st.Entries) != inner {
 		t.Errorf("store misses/entries = %d/%d, want %d/%d", st.Misses, st.Entries, inner, inner)
 	}

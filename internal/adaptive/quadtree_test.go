@@ -175,7 +175,7 @@ func TestQuadPrecomputeAndUtility(t *testing.T) {
 	if err := m.PrecomputeCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	before := m.Stats()
+	_, before := m.Stats()
 	rng := rand.New(rand.NewPCG(6, 7))
 	loss := 0.0
 	const nq = 1000
@@ -187,8 +187,8 @@ func TestQuadPrecomputeAndUtility(t *testing.T) {
 		}
 		loss += x.Dist(z)
 	}
-	if m.Stats() != before {
-		t.Errorf("warm quadtree performed %d extra solves", m.Stats()-before)
+	if _, after := m.Stats(); after != before {
+		t.Errorf("warm quadtree performed %d extra solves", after-before)
 	}
 	loss /= nq
 	// The quadtree's 2x2 fanout is budget-hungry: each resolution doubling

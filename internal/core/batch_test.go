@@ -13,10 +13,10 @@ import (
 	"geoind/internal/opt"
 )
 
-// batchSizes straddle the pooled descent's chunk boundaries: a single point,
-// a pair, one point short of a chunk, exactly one chunk, one past it, and the
-// same around a 1k batch.
-var batchSizes = []int{1, 2, batchChunk - 1, batchChunk, batchChunk + 1, 1024, 1025}
+// batchSizes straddle the pooled descent's 64-point chunk boundaries: a
+// single point, a pair, one point short of a chunk, exactly one chunk, one
+// past it, and the same around a 1k batch.
+var batchSizes = []int{1, 2, 63, 64, 65, 1024, 1025}
 
 // batchInputs draws n locations over a box slightly larger than the region,
 // so some inputs exercise the clamp.
@@ -64,7 +64,7 @@ func TestReportBatchIdentityPooled(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, x := range xs {
-						rng := rand.New(rand.NewPCG(m.seed, reportStreamSalt^(base+uint64(i))))
+						rng := rand.New(rand.NewPCG(9, reportStreamSalt^(base+uint64(i))))
 						want, err := m.ReportWith(x, rng)
 						if err != nil {
 							t.Fatal(err)
@@ -85,7 +85,7 @@ func TestReportBatchIdentityPooled(t *testing.T) {
 // reserve interleaved query-index blocks. Every batch must still equal the
 // per-point path at exactly one block base, each base claimed once.
 func TestReportBatchIdentityConcurrent(t *testing.T) {
-	const goroutines, perG, n = 4, 5, batchChunk + 1
+	const goroutines, perG, n = 4, 5, 65
 	m, err := New(batchConfig(3, opt.SamplerCum, nil), 9)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestReportBatchIdentityConcurrent(t *testing.T) {
 	for b := range perPoint {
 		perPoint[b] = make([]geo.Point, n)
 		for i, x := range xs {
-			rng := rand.New(rand.NewPCG(m.seed, reportStreamSalt^uint64(b*n+i)))
+			rng := rand.New(rand.NewPCG(9, reportStreamSalt^uint64(b*n+i)))
 			if perPoint[b][i], err = m.ReportWith(x, rng); err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestReportBatchIdentitySequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, x := range xs {
-					want, err := loop.Report(x)
+					want, err := loop.ReportCtx(context.Background(), x)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -200,13 +200,13 @@ func TestReportBatchColdSolvesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range xs {
-		if _, err := twin.Report(x); err != nil {
+		if _, err := twin.ReportCtx(context.Background(), x); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_, solves := m.Stats()
 	_, twinSolves := twin.Stats()
-	if st := m.StoreStats(); solves != twinSolves || int64(solves) != st.Misses || int64(solves) != st.Entries {
+	if st := m.Store().Stats(); solves != twinSolves || int64(solves) != st.Misses || int64(solves) != st.Entries {
 		t.Errorf("batch: %d solves, %d misses, %d resident channels; Report loop twin: %d solves",
 			solves, st.Misses, st.Entries, twinSolves)
 	}
@@ -223,7 +223,7 @@ func TestReportBatchCanceled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Precompute(); err != nil {
+		if err := m.PrecomputeCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := m.ReportBatchCtx(ctx, batchInputs(200, 1)); err != context.Canceled {
@@ -244,7 +244,7 @@ func TestReportBatchAllocsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Precompute(); err != nil {
+	if err := m.PrecomputeCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	allocs := func(n int) float64 {
@@ -280,14 +280,14 @@ func TestReportAllocsPerLevel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Precompute(); err != nil {
+			if err := m.PrecomputeCtx(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			height = m.Height()
 			xs := batchInputs(64, 3)
 			i := 0
 			allocs[w] = testing.AllocsPerRun(200, func() {
-				if _, err := m.Report(xs[i%len(xs)]); err != nil {
+				if _, err := m.ReportCtx(context.Background(), xs[i%len(xs)]); err != nil {
 					t.Fatal(err)
 				}
 				i++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -59,17 +60,17 @@ func TestConcurrentColdSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	hammer(t, 25, func(x geo.Point) error {
-		_, err := m.Report(x)
+		_, err := m.ReportCtx(context.Background(), x)
 		return err
 	})
 	queries, solves := m.Stats()
 	if queries != 16*25 {
 		t.Errorf("queries = %d, want %d", queries, 16*25)
 	}
-	if solves != m.ChannelCount() {
-		t.Errorf("solves = %d, resident channels = %d: duplicate or lost solves", solves, m.ChannelCount())
+	if solves != m.Store().Len() {
+		t.Errorf("solves = %d, resident channels = %d: duplicate or lost solves", solves, m.Store().Len())
 	}
-	st := m.StoreStats()
+	st := m.Store().Stats()
 	if int(st.Misses) != solves {
 		t.Errorf("store misses = %d, want %d (one per solve)", st.Misses, solves)
 	}
@@ -94,10 +95,10 @@ func TestConcurrentPrecomputeAndReport(t *testing.T) {
 	precompErr := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		precompErr <- m.Precompute()
+		precompErr <- m.PrecomputeCtx(context.Background())
 	}()
 	hammer(t, 15, func(x geo.Point) error {
-		_, err := m.Report(x)
+		_, err := m.ReportCtx(context.Background(), x)
 		return err
 	})
 	wg.Wait()
@@ -111,8 +112,8 @@ func TestConcurrentPrecomputeAndReport(t *testing.T) {
 		want += parents
 		parents *= m.cfg.G * m.cfg.G
 	}
-	if m.ChannelCount() != want {
-		t.Errorf("resident channels = %d, want full index %d", m.ChannelCount(), want)
+	if m.Store().Len() != want {
+		t.Errorf("resident channels = %d, want full index %d", m.Store().Len(), want)
 	}
 	_, solves := m.Stats()
 	if solves != want {
@@ -137,7 +138,7 @@ func TestSequentialModeBitIdenticalToSeed(t *testing.T) {
 	inputs := rand.New(rand.NewPCG(5, 6))
 	for i := 0; i < 200; i++ {
 		x := geo.Point{X: inputs.Float64() * 20, Y: inputs.Float64() * 20}
-		got, err := m.Report(x)
+		got, err := m.ReportCtx(context.Background(), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,8 +167,8 @@ func TestParallelModeDeterministicByArrival(t *testing.T) {
 	inputs := rand.New(rand.NewPCG(8, 9))
 	for i := 0; i < 200; i++ {
 		x := geo.Point{X: inputs.Float64() * 20, Y: inputs.Float64() * 20}
-		z1, err1 := m1.Report(x)
-		z2, err2 := m2.Report(x)
+		z1, err1 := m1.ReportCtx(context.Background(), x)
+		z2, err2 := m2.ReportCtx(context.Background(), x)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -187,7 +188,7 @@ func TestSharedStoreAcrossMechanisms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m1.Precompute(); err != nil {
+	if err := m1.PrecomputeCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	_, solvesBefore := m1.Stats()
@@ -196,7 +197,7 @@ func TestSharedStoreAcrossMechanisms(t *testing.T) {
 		t.Fatal(err)
 	}
 	hammer(t, 10, func(x geo.Point) error {
-		_, err := m2.Report(x)
+		_, err := m2.ReportCtx(context.Background(), x)
 		return err
 	})
 	if _, solves := m2.Stats(); solves != 0 {

@@ -39,18 +39,18 @@ func (m *Mechanism) ExactChannel() ([]float64, error) {
 
 // exactRow returns the exact leaf-cell output distribution for true point x.
 func (m *Mechanism) exactRow(x geo.Point) ([]float64, error) {
+	p := gihi{m}
 	gg := m.cfg.G * m.cfg.G
-	dist := map[int]float64{0: 1}
+	dist := map[cell]float64{p.Root(): 1}
 	for level := 0; level < m.Height(); level++ {
-		next := make(map[int]float64, len(dist)*gg)
+		next := make(map[cell]float64, len(dist)*gg)
 		for parent, q := range dist {
-			ch, err := m.channel(context.Background(), level, parent)
+			ch, err := m.Channel(context.Background(), parent)
 			if err != nil {
 				return nil, err
 			}
-			sub := m.hier.SubGrid(level, parent)
 			var row []float64
-			if xLocal, ok := sub.CellIndex(x); ok {
+			if xLocal := p.Enclosing(parent, x); xLocal >= 0 {
 				row = ch.Row(xLocal)
 			} else {
 				// Uniform random substitute input: average of all rows.
@@ -65,18 +65,18 @@ func (m *Mechanism) exactRow(x geo.Point) ([]float64, error) {
 				}
 				row = avg
 			}
-			for z, p := range row {
-				if p == 0 {
+			for z, pz := range row {
+				if pz == 0 {
 					continue
 				}
-				next[m.hier.ChildIndex(level, parent, z)] += q * p
+				next[p.Child(parent, z)] += q * pz
 			}
 		}
 		dist = next
 	}
 	out := make([]float64, m.LeafGrid().NumCells())
-	for cell, q := range dist {
-		out[cell] = q
+	for c, q := range dist {
+		out[c.idx()] = q
 	}
 	return out, nil
 }

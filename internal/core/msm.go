@@ -14,20 +14,19 @@
 //
 // Each per-level channel depends only on (level, parent cell), so solved
 // channels are memoized: the first query through a region pays h small LP
-// solves, subsequent queries only sample. Precompute warms the whole cache,
-// mirroring the paper's offline-download deployment model (§3.1).
+// solves, subsequent queries only sample. PrecomputeCtx warms the whole
+// cache, mirroring the paper's offline-download deployment model (§3.1).
 package core
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand/v2"
-	"sync"
 	"sync/atomic"
 
 	"geoind/internal/budget"
 	"geoind/internal/channel"
+	"geoind/internal/descent"
 	"geoind/internal/geo"
 	"geoind/internal/grid"
 	"geoind/internal/lp"
@@ -81,10 +80,6 @@ type Config struct {
 	PriorPoints []geo.Point
 	// LP configures the per-level interior-point solves.
 	LP *lp.IPMOptions
-	// DisableCache turns off channel memoization (used by benchmarks to
-	// measure cold-path cost): every descent step re-solves its LP, and the
-	// channel store is bypassed entirely.
-	DisableCache bool
 	// Workers bounds the parallelism of the whole channel pipeline: the
 	// per-column block factorizations inside each LP solve (unless LP
 	// already pins its own worker count), the Precompute fan-out across the
@@ -157,37 +152,30 @@ const storeNamespace = "msm"
 // historical stream constant, so the two modes can never collide.
 const reportStreamSalt = 0x6a09e667f3bcc909
 
-// Mechanism is a ready-to-use multi-step mechanism.
+// Mechanism is a ready-to-use multi-step mechanism: the descent engine over
+// the GIHI this package builds. ReportCtx, ReportBatchCtx, PrecomputeCtx and
+// the rest of the descent come from the embedded engine.
 type Mechanism struct {
+	*descent.Engine[cell, *opt.Channel]
+
 	cfg       Config
 	alloc     budget.Allocation
 	hier      *grid.Hierarchy
 	leafPrior *prior.Prior
-	seed      uint64
-
-	store     *channel.Store
 	priorHash uint64
 	variant   uint64 // store-key variant; 0 means unset (exact, dense)
+	levelOff  []int  // start of each level's cells among the inner nodes; the last entry is their count
 
-	queries        atomic.Int64
-	solves         atomic.Int64 // LP solves performed (store misses + bypass solves)
 	prunedChannels atomic.Int64 // solves whose channel was compacted
 	pruneFallbacks atomic.Int64 // solves kept dense after a failed prune
 	localChannels  atomic.Int64 // solves done over a locally relevant domain
 	localFallbacks atomic.Int64 // local builds that fell back to a dense solve
-	queryIdx       atomic.Uint64
-
-	rng   *rand.Rand
-	rngMu sync.Mutex // guards rng for sequential-mode Report
-
-	levelOff []int     // start of each level's cells in a batch memo's state index; last entry is the total
-	memoPool sync.Pool // *batchMemo, every entry empty while pooled
 }
 
 // New builds an MSM mechanism: it runs the budget allocation of §5 to fix
 // the index height and per-level budgets, constructs the hierarchy, and
 // prepares the leaf-granularity prior. Channels are solved lazily on first
-// use (or eagerly via Precompute). The seed makes all sampling reproducible.
+// use (or eagerly via PrecomputeCtx). The seed makes all sampling reproducible.
 func New(cfg Config, seed uint64) (*Mechanism, error) {
 	if !(cfg.Eps > 0) || math.IsInf(cfg.Eps, 0) {
 		return nil, fmt.Errorf("msm: eps=%g must be positive and finite", cfg.Eps)
@@ -283,18 +271,9 @@ func New(cfg Config, seed uint64) (*Mechanism, error) {
 		leaf = prior.Uniform(leafGrid)
 	}
 
-	m := &Mechanism{
-		cfg:       cfg,
-		alloc:     alloc,
-		hier:      hier,
-		leafPrior: leaf,
-		seed:      seed,
-		rng:       rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15)),
-		store:     cfg.Store,
-	}
-	if m.store == nil {
-		m.store = channel.New(channel.Options{})
-	}
+	m := &Mechanism{cfg: cfg, alloc: alloc, hier: hier, leafPrior: leaf}
+	m.Engine = descent.New[cell, *opt.Channel](gihi{m}, cfg.Region, cfg.Store, cfg.Workers, cfg.Sampler, cfg.Owns,
+		seed, 0x9e3779b97f4a7c15, reportStreamSalt)
 	m.levelOff = make([]int, alloc.Height()+1)
 	for level := 0; level < alloc.Height(); level++ {
 		m.levelOff[level+1] = m.levelOff[level] + m.levelCells(level)
@@ -358,17 +337,6 @@ func (m *Mechanism) Hierarchy() *grid.Hierarchy { return m.hier }
 // Epsilon returns the total privacy budget.
 func (m *Mechanism) Epsilon() float64 { return m.cfg.Eps }
 
-// Metric returns the configured utility metric.
-func (m *Mechanism) Metric() geo.Metric { return m.cfg.Metric }
-
-// Stats reports cache behaviour: total queries answered and LP solves
-// performed (equivalently, channel-store misses; with DisableCache, every
-// descent step). Both counters are maintained atomically, so Stats is safe
-// and accurate under concurrent Report/Precompute load.
-func (m *Mechanism) Stats() (queries, solves int) {
-	return int(m.queries.Load()), int(m.solves.Load())
-}
-
 // SamplerInfo reports the warm-path sampling configuration and the pruning
 // counters: how many solved channels were compacted and how many fell back
 // to dense after failing the post-prune GeoInd verification.
@@ -388,41 +356,13 @@ func (m *Mechanism) LocalInfo() (radius, massFloor float64, localChannels, dense
 	return m.cfg.LocalRadius, massFloor, m.localChannels.Load(), m.localFallbacks.Load()
 }
 
-// StoreStats returns a snapshot of the underlying channel store's counters
-// (hits, misses, in-flight solves, resident entries). With an injected
-// shared store the numbers aggregate every mechanism using it.
-func (m *Mechanism) StoreStats() channel.Stats { return m.store.Stats() }
-
-// DirCacheStats returns the persistent backing cache's counters (loads,
-// version misses, decode errors) when one is configured; ok is false
-// otherwise.
-func (m *Mechanism) DirCacheStats() (channel.DirStats, bool) { return m.store.BackingStats() }
-
-// SyncStore blocks until the store's write-behind persistence goroutines
-// (if a backing cache is configured) have drained. Call after Precompute or
-// before shutdown to guarantee solved channels reached disk.
-func (m *Mechanism) SyncStore() { m.store.Sync() }
-
-// Workers returns the effective parallelism degree of the pipeline.
-func (m *Mechanism) Workers() int { return channel.Workers(m.cfg.Workers) }
-
 // levelSubPrior returns the normalized prior over the g x g children of
-// parentIdx at the given level (0 = root). Zero-mass subdomains fall back
-// to uniform.
-func (m *Mechanism) levelSubPrior(level, parentIdx int) []float64 {
+// cell c. Zero-mass subdomains fall back to uniform.
+func (m *Mechanism) levelSubPrior(c cell) []float64 {
 	g := m.cfg.G
-	leafG := m.LeafGrid().Granularity()
-	childG := 1
-	for i := 0; i <= level; i++ {
-		childG *= g
-	}
-	ratio := leafG / childG // leaf cells per child cell side
-	var pRow, pCol int
-	if level > 0 {
-		pRow, pCol = m.hier.LevelGrid(level).RowCol(parentIdx)
-	}
-	baseRow := pRow * g * ratio
-	baseCol := pCol * g * ratio
+	ratio := m.LeafGrid().Granularity() / (c.side * g) // leaf cells per child cell side
+	baseRow := c.row * g * ratio
+	baseCol := c.col * g * ratio
 	w := make([]float64, g*g)
 	total := 0.0
 	for r := 0; r < g; r++ {
@@ -444,55 +384,6 @@ func (m *Mechanism) levelSubPrior(level, parentIdx int) []float64 {
 		w[i] *= inv
 	}
 	return w
-}
-
-// lpOpts resolves the interior-point options for one solve: an explicit
-// Config.LP wins field by field, with the pipeline worker count filled in
-// when LP does not pin its own.
-func (m *Mechanism) lpOpts() *lp.IPMOptions {
-	var o lp.IPMOptions
-	if m.cfg.LP != nil {
-		o = *m.cfg.LP
-	}
-	if o.Workers == 0 {
-		o.Workers = m.cfg.Workers
-	}
-	return &o
-}
-
-// channel returns the OPT channel for descending from parentIdx at level
-// (into level+1). The shared store deduplicates concurrent solves of the
-// same key (singleflight), so a cold channel is solved exactly once no
-// matter how many goroutines race for it; with DisableCache the store is
-// bypassed and every call re-solves. A resident channel is read through
-// Lookup, which counts the hit as GetOrComputeCtx would, so a warm lookup
-// builds no solve closure.
-func (m *Mechanism) channel(ctx context.Context, level, parentIdx int) (*opt.Channel, error) {
-	if m.cfg.DisableCache {
-		return m.solveChannel(ctx, level, parentIdx)
-	}
-	key := m.storeKey(level, parentIdx)
-	v, ok := m.store.Lookup(key)
-	if !ok {
-		var err error
-		v, _, err = m.store.GetOrComputeCtx(ctx, key, func(solveCtx context.Context) (any, error) {
-			// solveCtx is the store's detached solve context, not the caller's
-			// request ctx: the solve outlives any individual waiter and is only
-			// canceled when every waiter has abandoned it (or SolveTimeout fires).
-			return m.solveChannel(solveCtx, level, parentIdx)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	// A persisted snapshot passed checksum, key and codec validation, but a
-	// foreign backing could in principle hand back the wrong shape; never
-	// trust it over a fresh solve.
-	ch, ok := v.(*opt.Channel)
-	if !ok || ch.N() != m.cfg.G*m.cfg.G {
-		return m.solveChannel(ctx, level, parentIdx)
-	}
-	return ch, nil
 }
 
 // storeKey assembles the store key for the channel descending from
@@ -527,9 +418,6 @@ func (m *Mechanism) levelCells(level int) int {
 // or locally cached channels are served, and a cold key returns
 // ErrNotCached so a hedged fetch can never cause a duplicate solve.
 func (m *Mechanism) ChannelSnapshot(ctx context.Context, key channel.Key, solve bool) ([]byte, error) {
-	if m.cfg.DisableCache {
-		return nil, fmt.Errorf("%w: channel cache disabled", channel.ErrUnknownKey)
-	}
 	if key.Namespace != storeNamespace {
 		return nil, fmt.Errorf("%w: namespace %q", channel.ErrUnknownKey, key.Namespace)
 	}
@@ -544,16 +432,14 @@ func (m *Mechanism) ChannelSnapshot(ctx context.Context, key channel.Key, solve 
 	}
 	var v any
 	if solve {
-		var err error
-		v, _, err = m.store.GetOrComputeCtx(ctx, key, func(solveCtx context.Context) (any, error) {
-			return m.solveChannel(solveCtx, key.Level, key.Cell)
-		})
+		ch, err := m.Channel(ctx, m.cellAt(key.Level, key.Cell))
 		if err != nil {
 			return nil, err
 		}
+		v = ch
 	} else {
 		var ok bool
-		if v, ok = m.store.LoadCached(ctx, key); !ok {
+		if v, ok = m.Store().LoadCached(ctx, key); !ok {
 			return nil, channel.ErrNotCached
 		}
 	}
@@ -564,13 +450,62 @@ func (m *Mechanism) ChannelSnapshot(ctx context.Context, key channel.Key, solve 
 	return channel.Snapshot(key, payload), nil
 }
 
-// solveChannel performs the LP solve for one (level, parent) subdomain,
-// using the locally relevant construction when LocalRadius is set (with a
-// counted dense fallback if its restricted verifier gate rejects) and the
-// spanner-reduced formulation when SpannerStretch is set.
-func (m *Mechanism) solveChannel(ctx context.Context, level, parentIdx int) (*opt.Channel, error) {
-	sub := m.hier.SubGrid(level, parentIdx)
-	pw := m.levelSubPrior(level, parentIdx)
+// cell is a node of the GIHI: the cell at (row, col) of the side x side
+// grid of level (the virtual root is level 0, side 1).
+type cell struct {
+	level, side, row, col int
+}
+
+func (c cell) idx() int { return c.row*c.side + c.col }
+
+// cellAt returns cell idx of level.
+func (m *Mechanism) cellAt(level, idx int) cell {
+	if level == 0 {
+		return cell{side: 1}
+	}
+	lg := m.hier.LevelGrid(level)
+	row, col := lg.RowCol(idx)
+	return cell{level: level, side: lg.Granularity(), row: row, col: col}
+}
+
+// gihi is the GIHI as a descent.Partition. Inner node ids run level by
+// level: levelOff[level] + the cell's index in its level grid.
+type gihi struct{ *Mechanism }
+
+func (p gihi) Root() cell               { return cell{side: 1} }
+func (p gihi) Inners() int              { return p.levelOff[p.Height()] }
+func (p gihi) Depth() int               { return p.Height() }
+func (p gihi) Children(cell) int        { return p.cfg.G * p.cfg.G }
+func (p gihi) Release(c cell) geo.Point { return p.LeafGrid().Center(c.idx()) }
+func (p gihi) Key(c cell) channel.Key   { return p.storeKey(c.level, c.idx()) }
+
+func (p gihi) Inner(c cell) int {
+	if c.level == p.Height() {
+		return -1
+	}
+	return p.levelOff[c.level] + c.idx()
+}
+
+// Enclosing is SubGrid(level, cell).CellIndex, without building the subgrid.
+func (p gihi) Enclosing(c cell, x geo.Point) int {
+	i, _ := p.hier.ChildCell(c.level, c.row, c.col, x)
+	return i
+}
+
+func (p gihi) Child(c cell, i int) cell {
+	g := p.cfg.G
+	return cell{level: c.level + 1, side: c.side * g, row: c.row*g + i/g, col: c.col*g + i%g}
+}
+
+// Solve performs the LP solve for the subdomain of cell c, using the locally
+// relevant construction when LocalRadius is set (with a counted dense
+// fallback if its restricted verifier gate rejects) and the spanner-reduced
+// formulation when SpannerStretch is set.
+func (p gihi) Solve(ctx context.Context, c cell) (*opt.Channel, error) {
+	m, eps := p.Mechanism, p.alloc.Eps[c.level]
+	sub := m.hier.SubGrid(c.level, c.idx())
+	pw := m.levelSubPrior(c)
+	lpOpts := descent.LPOptions(m.cfg.LP, m.cfg.Workers)
 	var (
 		ch  *opt.Channel
 		err error
@@ -579,32 +514,30 @@ func (m *Mechanism) solveChannel(ctx context.Context, level, parentIdx int) (*op
 		lo := &opt.LocalOptions{
 			MassFloor:      m.cfg.LocalMassFloor,
 			SpannerStretch: m.cfg.SpannerStretch,
-			LP:             m.lpOpts(),
+			LP:             lpOpts,
 			Workers:        m.cfg.Workers,
 		}
-		ch, err = opt.BuildLocalCtx(ctx, m.alloc.Eps[level], &sub, pw, m.cfg.Metric, m.cfg.LocalRadius, lo)
+		ch, err = opt.BuildLocalCtx(ctx, eps, &sub, pw, m.cfg.Metric, m.cfg.LocalRadius, lo)
 		if err == nil {
-			m.solves.Add(1)
 			m.localChannels.Add(1)
 			// Already compact: PruneMass has nothing left to prune.
 			return ch, nil
 		}
 		if ctx.Err() != nil {
-			return nil, fmt.Errorf("msm: level %d cell %d: %w", level+1, parentIdx, err)
+			return nil, fmt.Errorf("msm: level %d cell %d: %w", c.level+1, c.idx(), err)
 		}
 		// The local construction is an optimization, never a correctness
 		// dependency: fall back to the dense (or spanner) solve and count it.
 		m.localFallbacks.Add(1)
 	}
 	if m.cfg.SpannerStretch > 0 {
-		ch, err = opt.BuildSpannerCtx(ctx, m.alloc.Eps[level], &sub, pw, m.cfg.Metric, m.cfg.SpannerStretch, &opt.Options{LP: m.lpOpts()})
+		ch, err = opt.BuildSpannerCtx(ctx, eps, &sub, pw, m.cfg.Metric, m.cfg.SpannerStretch, &opt.Options{LP: lpOpts})
 	} else {
-		ch, err = opt.BuildCtx(ctx, m.alloc.Eps[level], &sub, pw, m.cfg.Metric, &opt.Options{LP: m.lpOpts()})
+		ch, err = opt.BuildCtx(ctx, eps, &sub, pw, m.cfg.Metric, &opt.Options{LP: lpOpts})
 	}
 	if err != nil {
-		return nil, fmt.Errorf("msm: level %d cell %d: %w", level+1, parentIdx, err)
+		return nil, fmt.Errorf("msm: level %d cell %d: %w", c.level+1, c.idx(), err)
 	}
-	m.solves.Add(1)
 	if m.cfg.PruneMass > 0 {
 		if pruned, perr := ch.Prune(m.cfg.PruneMass, pw); perr == nil {
 			ch = pruned
@@ -617,304 +550,4 @@ func (m *Mechanism) solveChannel(ctx context.Context, level, parentIdx int) (*op
 		}
 	}
 	return ch, nil
-}
-
-// Report runs Algorithm 1 for the actual location x using the mechanism's
-// seeded randomness and returns the sanitized location (a leaf cell
-// center). Locations outside the region are clamped onto it first.
-//
-// With Workers <= 1 all reports draw from one shared RNG under a mutex,
-// reproducing the historical sequential output stream bit for bit. With
-// Workers > 1 the i-th report (in arrival order) draws from its own PCG
-// stream split off the seed by the query index, so concurrent reports are
-// lock-free on the sampling path while remaining deterministic: the same
-// seed and the same arrival order produce the same outputs.
-func (m *Mechanism) Report(x geo.Point) (geo.Point, error) {
-	return m.ReportCtx(context.Background(), x)
-}
-
-// ReportCtx is Report under a context: the descent polls ctx between levels
-// (through the channel store), so canceling ctx makes an in-flight cold
-// report return promptly with ctx.Err() — abandoning, not aborting, any
-// shared solve that still has other waiters. Warm reports never block and
-// are unaffected. With ctx == context.Background() the sampling output is
-// bit-identical to Report.
-func (m *Mechanism) ReportCtx(ctx context.Context, x geo.Point) (geo.Point, error) {
-	m.queries.Add(1)
-	if channel.Workers(m.cfg.Workers) <= 1 {
-		m.rngMu.Lock()
-		defer m.rngMu.Unlock()
-		return m.descend(ctx, x, m.rng, nil)
-	}
-	s := opt.GetStream()
-	defer opt.PutStream(s)
-	return m.descend(ctx, x, s.Seed(m.seed, reportStreamSalt^(m.queryIdx.Add(1)-1)), nil)
-}
-
-// ReportBatch sanitizes a slice of locations in one call and returns the
-// results in input order. Each parent cell's subgrid and sampler are resolved
-// once per batch, through a memo the batch's workers share, instead of once
-// per point. With Workers <= 1 the shared RNG mutex is acquired once for the
-// whole batch and the points are processed sequentially, so the output is
-// bit-identical to calling Report in a loop. With Workers > 1 the batch
-// reserves a contiguous block of query indices and fans chunks of batchChunk
-// points across up to Workers goroutines, each worker taking a point through
-// every level. Every point draws from the PCG stream of its own query index,
-// so the result is independent of the worker count and identical to what a
-// Report loop in the same arrival order would produce.
-//
-// Sampling errors abort the batch: the returned slice is nil and the first
-// error (by completion order) is reported.
-func (m *Mechanism) ReportBatch(xs []geo.Point) ([]geo.Point, error) {
-	return m.ReportBatchCtx(context.Background(), xs)
-}
-
-// ReportBatchCtx is ReportBatch under a context: the descent polls ctx once
-// per chunk of points, so a cancel drains the workers promptly and the call
-// returns ctx.Err(). When ctx is never canceled the output is bit-identical
-// to ReportBatch (the polls consume no randomness).
-func (m *Mechanism) ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.Point, error) {
-	m.queries.Add(int64(len(xs)))
-	out := make([]geo.Point, len(xs))
-	var err error
-	if workers := channel.Workers(m.cfg.Workers); workers <= 1 {
-		m.rngMu.Lock()
-		defer m.rngMu.Unlock()
-		err = m.release(ctx, xs, out, m.rng, 0, 1)
-	} else {
-		n := uint64(len(xs))
-		err = m.release(ctx, xs, out, nil, m.queryIdx.Add(n)-n, workers)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReportBatchWith is ReportBatch with a caller-supplied RNG: always
-// sequential in input order regardless of Workers, drawing every sample from
-// rng, so the output matches a ReportWith loop exactly. The evaluation
-// harness uses it to keep experiment output bit-identical to the historical
-// per-point loop. (With DisableCache each distinct parent cell is solved once
-// per batch rather than once per point.)
-func (m *Mechanism) ReportBatchWith(xs []geo.Point, rng *rand.Rand) ([]geo.Point, error) {
-	out := make([]geo.Point, len(xs))
-	if err := m.release(context.Background(), xs, out, rng, 0, 1); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReportWith is Report with a caller-supplied RNG (not counted in Stats'
-// query counter when called directly).
-func (m *Mechanism) ReportWith(x geo.Point, rng *rand.Rand) (geo.Point, error) {
-	return m.descend(context.Background(), x, rng, nil)
-}
-
-// batchChunk is the number of consecutive points one worker claims at a
-// time in the batch descent: large enough that the shared claim counter and
-// the ctx poll vanish from the per-point cost, small enough that a 1k-point
-// batch still spreads over 16 claims.
-const batchChunk = 64
-
-// release descends every point of xs into out, fanning chunks of batchChunk
-// points across workers with one memo for the whole batch. With rng set the
-// points draw from it in input order (workers must then be 1); otherwise
-// point i draws from the PCG stream of query index base+i, through one stream
-// per chunk re-seeded per point.
-func (m *Mechanism) release(ctx context.Context, xs, out []geo.Point, rng *rand.Rand, base uint64, workers int) error {
-	memo := m.getMemo(len(xs))
-	defer m.putMemo(memo)
-	chunks := (len(xs) + batchChunk - 1) / batchChunk
-	var streams []opt.Stream
-	if rng == nil {
-		streams = make([]opt.Stream, chunks)
-	}
-	return channel.ForEachCtx(ctx, workers, chunks, func(c int) error {
-		r := rng
-		for i := c * batchChunk; i < min((c+1)*batchChunk, len(xs)); i++ {
-			if streams != nil {
-				r = streams[c].Seed(m.seed, reportStreamSalt^(base+uint64(i)))
-			}
-			z, err := m.descend(ctx, xs[i], r, memo)
-			if err != nil {
-				return err
-			}
-			out[i] = z
-		}
-		return nil
-	})
-}
-
-// batchSlot is one parent cell a batch descends through: its subgrid and the
-// sampler of its channel. pos is the cell's entry in the memo's state index.
-type batchSlot struct {
-	pos     int
-	sub     grid.Grid
-	sampler opt.Sampler
-}
-
-// batchMemo holds, for one batch, the slot of every parent cell the batch has
-// resolved, shared by the batch's workers. state has one entry per hierarchy
-// cell, level l's cells starting at levelOff[l]: memoEmpty, memoBusy, or
-// memoReady+k once slots[k] holds the cell. An entry goes empty -> busy ->
-// ready at most once per batch; only the worker that wins the first
-// transition claims and writes a slot, and readers touch a slot only after
-// observing ready. Memos are pooled and come back with every entry empty
-// (putMemo clears exactly the entries a batch set), so a small batch over a
-// deep hierarchy never pays to clear the untouched cells.
-type batchMemo struct {
-	state []atomic.Uint32
-	slots []batchSlot
-	used  atomic.Int32 // slots claimed
-}
-
-const (
-	memoEmpty uint32 = iota
-	memoBusy
-	memoReady
-)
-
-// getMemo borrows a memo with room for every parent cell a batch of n points
-// can touch: at most min(n, cells) at each level.
-func (m *Mechanism) getMemo(n int) *batchMemo {
-	memo, ok := m.memoPool.Get().(*batchMemo)
-	if !ok {
-		memo = &batchMemo{state: make([]atomic.Uint32, m.levelOff[m.Height()])}
-	}
-	need := 0
-	for level := 0; level < m.Height(); level++ {
-		need += min(n, m.levelOff[level+1]-m.levelOff[level])
-	}
-	if len(memo.slots) < need {
-		memo.slots = make([]batchSlot, need)
-	}
-	return memo
-}
-
-// putMemo empties the entries and slots memo's batch claimed and returns it
-// to the pool.
-func (m *Mechanism) putMemo(memo *batchMemo) {
-	for k := range memo.used.Load() {
-		memo.state[memo.slots[k].pos].Store(memoEmpty)
-		memo.slots[k].sampler = nil
-	}
-	memo.used.Store(0)
-	m.memoPool.Put(memo)
-}
-
-// slot resolves the subgrid and sampler of parent cell parent at level: from
-// memo when the batch already holds them, otherwise through the channel
-// store into *scratch, publishing a copy to memo, if any. A worker that finds
-// the entry mid-publication resolves through the store too: the singleflight
-// store hands both the same channel.
-func (m *Mechanism) slot(ctx context.Context, level, parent int, memo *batchMemo, scratch *batchSlot) (*batchSlot, error) {
-	pos := m.levelOff[level] + parent
-	if memo != nil {
-		if v := memo.state[pos].Load(); v >= memoReady {
-			return &memo.slots[v-memoReady], nil
-		}
-	}
-	ch, err := m.channel(ctx, level, parent)
-	if err != nil {
-		return nil, err
-	}
-	*scratch = batchSlot{pos: pos, sub: m.hier.SubGrid(level, parent), sampler: ch.Sampler(m.cfg.Sampler)}
-	if memo != nil && memo.state[pos].CompareAndSwap(memoEmpty, memoBusy) {
-		k := memo.used.Add(1) - 1
-		memo.slots[k] = *scratch
-		memo.state[pos].Store(memoReady + uint32(k))
-	}
-	return scratch, nil
-}
-
-// descend runs Algorithm 1 for x: at each level it runs the selected parent
-// cell's OPT channel on x's cell in that parent's subgrid and moves into the
-// drawn child; the final leaf cell's center is reported. Resolving a slot
-// consumes no randomness, so the draw stream is the same with or without
-// memo.
-func (m *Mechanism) descend(ctx context.Context, x geo.Point, rng *rand.Rand, memo *batchMemo) (geo.Point, error) {
-	x = m.cfg.Region.Clamp(x)
-	parent := 0 // virtual root
-	var scratch batchSlot
-	for level := 0; level < m.Height(); level++ {
-		s, err := m.slot(ctx, level, parent, memo, &scratch)
-		if err != nil {
-			return geo.Point{}, err
-		}
-		// x-hat_i: the user's logical location at this level. When the
-		// actual location falls outside the selected subdomain (possible by
-		// design: the previous level may have reported a different cell),
-		// Algorithm 1 line 10 substitutes a uniformly random location.
-		xLocal, ok := s.sub.CellIndex(x)
-		if !ok {
-			xLocal = rng.IntN(s.sub.NumCells())
-		}
-		parent = m.hier.ChildIndex(level, parent, s.sampler.Sample(xLocal, rng))
-	}
-	return m.LeafGrid().Center(parent), nil
-}
-
-// Precompute eagerly solves every channel in the index (the paper's offline
-// phase). The number of LPs is 1 + g^2 + g^4 + ... + g^{2(h-1)}. Each
-// level's solves fan out across up to Workers goroutines — the cold path is
-// then bounded by the slowest level sum instead of the serial total — and
-// the store's singleflight keeps concurrent Precompute/Report traffic from
-// duplicating work.
-func (m *Mechanism) Precompute() error {
-	return m.PrecomputeCtx(context.Background())
-}
-
-// PrecomputeCtx is Precompute under a context: the per-level fan-out polls
-// ctx before each solve, so canceling it (e.g. on SIGINT during warmup)
-// stops issuing new solves and returns ctx.Err() promptly. Channels already
-// solved stay in the store.
-func (m *Mechanism) PrecomputeCtx(ctx context.Context) error {
-	if m.cfg.DisableCache {
-		return fmt.Errorf("msm: cannot precompute with cache disabled")
-	}
-	workers := channel.Workers(m.cfg.Workers)
-	parents := []int{0}
-	for level := 0; level < m.Height(); level++ {
-		level := level
-		ps := parents
-		if err := channel.ForEachCtx(ctx, workers, len(ps), func(i int) error {
-			// Owner-only precompute: replicas in a fabric fleet warm
-			// disjoint key partitions, so each unique channel is solved by
-			// exactly one replica. Non-owned channels are pulled lazily from
-			// their owner (or solved as a fallback) at query time.
-			if m.cfg.Owns != nil && !m.cfg.Owns(m.storeKey(level, ps[i])) {
-				return nil
-			}
-			_, err := m.channel(ctx, level, ps[i])
-			return err
-		}); err != nil {
-			return err
-		}
-		var next []int
-		if level+1 < m.Height() {
-			for _, p := range ps {
-				for local := 0; local < m.cfg.G*m.cfg.G; local++ {
-					next = append(next, m.hier.ChildIndex(level, p, local))
-				}
-			}
-		}
-		parents = next
-	}
-	return nil
-}
-
-// ChannelCount returns the number of resident channels. With an injected
-// shared store the count covers every mechanism using that store.
-func (m *Mechanism) ChannelCount() int {
-	if m.cfg.DisableCache {
-		return 0
-	}
-	return m.store.Len()
-}
-
-// ClearCache drops all cached channels (benchmarking aid). With an injected
-// shared store this clears the other users' channels too.
-func (m *Mechanism) ClearCache() {
-	m.store.Clear()
 }

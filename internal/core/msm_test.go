@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -90,8 +91,8 @@ func TestReportDeterministicWithSeed(t *testing.T) {
 	m1, m2 := mk(), mk()
 	x := geo.Point{X: 6, Y: 7}
 	for i := 0; i < 50; i++ {
-		z1, err1 := m1.Report(x)
-		z2, err2 := m2.Report(x)
+		z1, err1 := m1.ReportCtx(context.Background(), x)
+		z2, err2 := m2.ReportCtx(context.Background(), x)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -149,8 +150,8 @@ func TestChannelCacheBehaviour(t *testing.T) {
 	if solves > maxChannels {
 		t.Errorf("solves %d exceed channel count bound %d", solves, maxChannels)
 	}
-	if m.ChannelCount() != solves {
-		t.Errorf("cache size %d != solves %d", m.ChannelCount(), solves)
+	if m.Store().Len() != solves {
+		t.Errorf("cache size %d != solves %d", m.Store().Len(), solves)
 	}
 	// Re-running the same workload must not trigger new solves.
 	before := solves
@@ -171,7 +172,7 @@ func TestPrecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Precompute(); err != nil {
+	if err := m.PrecomputeCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := 0
@@ -180,8 +181,8 @@ func TestPrecompute(t *testing.T) {
 		want += per
 		per *= 4
 	}
-	if m.ChannelCount() != want {
-		t.Errorf("precomputed %d channels want %d", m.ChannelCount(), want)
+	if m.Store().Len() != want {
+		t.Errorf("precomputed %d channels want %d", m.Store().Len(), want)
 	}
 	_, solvesBefore := m.Stats()
 	rng := rand.New(rand.NewPCG(33, 34))
@@ -193,29 +194,9 @@ func TestPrecompute(t *testing.T) {
 	if _, solvesAfter := m.Stats(); solvesAfter != solvesBefore {
 		t.Errorf("post-precompute queries performed %d LP solves", solvesAfter-solvesBefore)
 	}
-	m.ClearCache()
-	if m.ChannelCount() != 0 {
+	m.Store().Clear()
+	if m.Store().Len() != 0 {
 		t.Error("ClearCache left channels behind")
-	}
-}
-
-func TestDisableCache(t *testing.T) {
-	m, err := New(Config{Eps: 0.5, G: 2, Region: region20(), MaxHeight: 2, DisableCache: true}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(44, 45))
-	for i := 0; i < 5; i++ {
-		if _, err := m.ReportWith(geo.Point{X: 3, Y: 3}, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, solves := m.Stats()
-	if solves < 5*m.Height() {
-		t.Errorf("cache disabled but only %d solves for %d queries of height %d", solves, 5, m.Height())
-	}
-	if err := m.Precompute(); err == nil {
-		t.Error("Precompute should refuse with cache disabled")
 	}
 }
 
@@ -230,7 +211,7 @@ func TestLevelSubPriorNormalized(t *testing.T) {
 			nParents = m.hier.LevelGrid(level).NumCells()
 		}
 		for p := 0; p < nParents; p++ {
-			w := m.levelSubPrior(level, p)
+			w := m.levelSubPrior(m.cellAt(level, p))
 			if len(w) != 9 {
 				t.Fatalf("level %d parent %d: len %d", level, p, len(w))
 			}
@@ -489,7 +470,7 @@ func TestReportConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 1))
 			for i := 0; i < 50; i++ {
 				x := geo.Point{X: rng.Float64() * 20, Y: rng.Float64() * 20}
-				if _, err := m.Report(x); err != nil {
+				if _, err := m.ReportCtx(context.Background(), x); err != nil {
 					errs <- err
 					return
 				}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -224,7 +225,7 @@ func (c *Context) msmQueryTimes(m *core.Mechanism) (cold, warm float64, err erro
 	rng := c.rng(606)
 	const coldTrials = 5
 	for i := 0; i < coldTrials && i < len(reqs); i++ {
-		m.ClearCache()
+		m.Store().Clear()
 		start := time.Now()
 		if _, err = m.ReportWith(reqs[i], rng); err != nil {
 			return 0, 0, err
@@ -232,7 +233,7 @@ func (c *Context) msmQueryTimes(m *core.Mechanism) (cold, warm float64, err erro
 		cold += time.Since(start).Seconds()
 	}
 	cold /= coldTrials
-	if err = m.Precompute(); err != nil {
+	if err = m.PrecomputeCtx(context.Background()); err != nil {
 		return 0, 0, err
 	}
 	warmTrials := min(len(reqs), 2000)

@@ -142,6 +142,21 @@ type Hierarchy struct {
 	fanout int
 	height int
 	levels []*Grid // levels[i-1] is the full grid at level i
+	// cols[i][c] and rows[i][r] are column c and row r of level i < height
+	// (level 0: the root) as SubGrid sees them, for ChildCell.
+	cols, rows [][]span
+}
+
+// span is the extent [lo, hi) of one column or row of a level and the size
+// of each of its fanout children along it, as SubGrid computes them.
+type span struct{ lo, hi, step float64 }
+
+// child is Grid.CellIndex along one axis of the subgrid.
+func (s span) child(v float64, fanout int) (int, bool) {
+	if !(v >= s.lo && v < s.hi) {
+		return -1, false
+	}
+	return min(int((v-s.lo)/s.step), fanout-1), true
 }
 
 // NewHierarchy builds a hierarchy of the given fanout (cells per side per
@@ -169,6 +184,18 @@ func NewHierarchy(root geo.Rect, fanout, height int) (*Hierarchy, error) {
 			return nil, err
 		}
 		h.levels = append(h.levels, gr)
+	}
+	f := float64(fanout)
+	h.cols = [][]span{{{root.MinX, root.MaxX, root.Width() / f}}}
+	h.rows = [][]span{{{root.MinY, root.MaxY, root.Height() / f}}}
+	for _, gr := range h.levels[:height-1] {
+		cols, rows := make([]span, gr.g), make([]span, gr.g)
+		for i := range gr.g {
+			c, r := gr.CellRect(gr.Index(0, i)), gr.CellRect(gr.Index(i, 0))
+			cols[i] = span{c.MinX, c.MaxX, c.Width() / f}
+			rows[i] = span{r.MinY, r.MaxY, r.Height() / f}
+		}
+		h.cols, h.rows = append(h.cols, cols), append(h.rows, rows)
 	}
 	return h, nil
 }
@@ -213,6 +240,19 @@ func (h *Hierarchy) SubGrid(level, parentIdx int) Grid {
 		cellW:  rect.Width() / float64(h.fanout),
 		cellH:  rect.Height() / float64(h.fanout),
 	}
+}
+
+// ChildCell returns SubGrid(level, parentIdx).CellIndex(p), bit for bit,
+// for the parent cell at (row, col) of level (0, 0 for the virtual root),
+// without building the subgrid: NewHierarchy precomputes the bounds and cell
+// sizes SubGrid would derive.
+func (h *Hierarchy) ChildCell(level, row, col int, p geo.Point) (idx int, ok bool) {
+	c, okc := h.cols[level][col].child(p.X, h.fanout)
+	r, okr := h.rows[level][row].child(p.Y, h.fanout)
+	if !okc || !okr {
+		return -1, false
+	}
+	return r*h.fanout + c, true
 }
 
 // ChildIndex converts a local cell index within SubGrid(level, parentIdx)

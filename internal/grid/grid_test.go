@@ -239,3 +239,62 @@ func TestLevelGridPanicsOutOfRange(t *testing.T) {
 		}()
 	}
 }
+
+// TestChildCellMatchesSubGrid pins ChildCell to SubGrid(level, parent).
+// CellIndex bit for bit: on odd-sized, off-origin regions, for every parent
+// cell of every level, at random points around the cell and at every child
+// boundary, one float step either side of it, and at NaN.
+func TestChildCellMatchesSubGrid(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 7))
+	for _, c := range []struct {
+		root           geo.Rect
+		fanout, height int
+	}{
+		{unit20(), 3, 3},
+		{geo.Rect{MinX: -3.7, MinY: 11.1, MaxX: 13.6, MaxY: 29.9}, 6, 2},
+		{geo.Rect{MinX: 0.1, MinY: 0.2, MaxX: 0.7, MaxY: 0.3}, 7, 2},
+		{geo.Rect{MinX: 1e3 / 3, MinY: -1, MaxX: 2e3 / 3, MaxY: 1e2 / 7}, 2, 4},
+	} {
+		h, err := NewHierarchy(c.root, c.fanout, c.height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for level := 0; level < c.height; level++ {
+			side := 1
+			if level > 0 {
+				side = h.LevelGrid(level).Granularity()
+			}
+			for parent := 0; parent < side*side; parent++ {
+				sub := h.SubGrid(level, parent)
+				b := sub.Bounds()
+				w, hh := sub.CellSize()
+				var xs, ys []float64
+				for k := 0; k <= c.fanout; k++ {
+					for _, v := range []float64{b.MinX + float64(k)*w, b.MinX + (float64(k)+0.5)*w} {
+						xs = append(xs, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+					}
+					for _, v := range []float64{b.MinY + float64(k)*hh, b.MinY + (float64(k)+0.5)*hh} {
+						ys = append(ys, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+					}
+				}
+				xs = append(xs, b.MaxX, math.Nextafter(b.MaxX, math.Inf(-1)), math.NaN())
+				ys = append(ys, b.MaxY, math.Nextafter(b.MaxY, math.Inf(-1)), math.NaN())
+				for range 20 {
+					xs = append(xs, b.MinX-w+rng.Float64()*(b.Width()+2*w))
+					ys = append(ys, b.MinY-hh+rng.Float64()*(b.Height()+2*hh))
+				}
+				row, col := parent/side, parent%side
+				for _, x := range xs {
+					for _, y := range ys {
+						p := geo.Point{X: x, Y: y}
+						wantIdx, wantOK := sub.CellIndex(p)
+						if idx, ok := h.ChildCell(level, row, col, p); idx != wantIdx || ok != wantOK {
+							t.Fatalf("%v fanout %d level %d parent %d at %v: ChildCell (%d, %v), SubGrid.CellIndex (%d, %v)",
+								c.root, c.fanout, level, parent, p, idx, ok, wantIdx, wantOK)
+						}
+					}
+				}
+			}
+		}
+	}
+}
