@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race race-persist experiments-check fuzz-short bench-smoke bench-json bench-ctx bench-sample bench-local bench-load bench-fabric bench-trace bench-diff load-smoke fleet-smoke trace-smoke
+.PHONY: ci fmt-check vet build perfbench-build test race race-persist experiments-check fuzz-short bench-smoke bench-json bench-ctx bench-sample bench-local bench-load bench-fabric bench-trace bench-diff load-smoke fleet-smoke trace-smoke
 
-ci: fmt-check vet build race race-persist experiments-check bench-smoke load-smoke fleet-smoke trace-smoke
+ci: fmt-check vet build perfbench-build race race-persist experiments-check bench-smoke load-smoke fleet-smoke trace-smoke
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -22,6 +22,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# perfbench is a module of its own (perfbench/go.mod), so the root vet and
+# build never see it; vet and compile it here, so a change to the server or
+# facade types its harness wraps fails CI instead of the next benchmark run.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build ./...
 
 test:
 	$(GO) test -shuffle=on ./...

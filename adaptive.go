@@ -8,6 +8,7 @@ import (
 	"geoind/internal/adaptive"
 	"geoind/internal/channel"
 	"geoind/internal/opt"
+	"geoind/internal/server"
 )
 
 // AdaptiveMSMConfig configures NewAdaptiveMSM, the prior-adaptive variant of
@@ -152,18 +153,9 @@ func (a *AdaptiveMSM) NumNodes() int { return a.m.Tree().NumNodes() }
 // snapshot-persistence activity (disk hits and write-behind writes).
 func (a *AdaptiveMSM) StoreStats() channel.Stats { return a.m.Store().Stats() }
 
-// DirCacheStats returns the persistent snapshot cache's own counters — loads,
-// hits, decode errors, and version misses (intact files written by a foreign
-// snapshot format version). ok is false when no cache directory is
-// configured.
-func (a *AdaptiveMSM) DirCacheStats() (channel.DirStats, bool) { return a.m.Store().BackingStats() }
-
-// SamplerInfo reports the warm-path sampling configuration (sampler kind,
-// configured prune mass) and the pruning counters: solved node channels
-// compacted, and dense fallbacks after a failed post-prune verification.
-func (a *AdaptiveMSM) SamplerInfo() (kind string, pruneMass float64, pruned, fallbacks int64) {
-	return a.m.SamplerInfo()
-}
+// MechStats implements server.Statser: the channel store, the persistent
+// snapshot cache (when configured) and the sampler sections.
+func (a *AdaptiveMSM) MechStats() server.MechStats { return storeMechStats(a.m) }
 
 // FlushCache blocks until every solved channel handed to the persistent
 // snapshot cache (AdaptiveMSMConfig.CacheDir) has been written to disk; a
@@ -175,4 +167,5 @@ var (
 	_ BatchMechanism    = (*AdaptiveMSM)(nil)
 	_ MechanismCtx      = (*AdaptiveMSM)(nil)
 	_ BatchMechanismCtx = (*AdaptiveMSM)(nil)
+	_ server.Statser    = (*AdaptiveMSM)(nil)
 )

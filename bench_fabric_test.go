@@ -42,9 +42,8 @@ func BenchmarkFabricFleet(b *testing.B) {
 			sweep(b, m, 0.7)
 		}
 		for _, m := range f.msms {
-			_, misses, _ := m.CacheStats()
-			totalSolves += misses
-			if h := m.FabricFetchLatency(); h != nil && h.Count() > 0 {
+			totalSolves += m.StoreStats().Misses
+			if h := m.MechStats().FetchLatency; h != nil && h.Count() > 0 {
 				p50 = max(p50, h.Quantile(0.5)*1e3)
 				p99 = max(p99, h.Quantile(0.99)*1e3)
 			}
@@ -78,7 +77,7 @@ func BenchmarkFabricIsolated(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				_, misses, _ := m.CacheStats()
+				misses := m.StoreStats().Misses
 				mu.Lock()
 				totalSolves += misses
 				mu.Unlock()

@@ -57,7 +57,7 @@ func TestFleetSmoke(t *testing.T) {
 	if err := ref.Precompute(); err != nil {
 		t.Fatal(err)
 	}
-	_, uniqueChannels, _ := ref.CacheStats()
+	uniqueChannels := ref.StoreStats().Misses
 	if uniqueChannels < 10 {
 		t.Fatalf("reference precompute solved only %d channels; the fleet assertion would be vacuous", uniqueChannels)
 	}

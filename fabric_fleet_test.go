@@ -100,8 +100,7 @@ func uniqueChannelCount(tb testing.TB, eps float64) int64 {
 	if err := ref.Precompute(); err != nil {
 		tb.Fatal(err)
 	}
-	_, misses, _ := ref.CacheStats()
-	return misses
+	return ref.StoreStats().Misses
 }
 
 // TestFleetExactlyOnceSolves: a 2-replica fabric fleet precomputes and serves
@@ -126,13 +125,13 @@ func TestFleetExactlyOnceSolves(t *testing.T) {
 
 	var fleetSolves, remoteHits int64
 	for i, m := range f.msms {
-		_, misses, _ := m.CacheStats()
+		misses := m.StoreStats().Misses
 		if misses == 0 {
 			t.Errorf("replica %d solved nothing; ownership is degenerate", i)
 		}
 		fleetSolves += misses
-		st, ok := m.FabricStats()
-		if !ok {
+		st := m.MechStats().Fabric
+		if st == nil {
 			t.Fatalf("replica %d reports no fabric", i)
 		}
 		for _, tier := range st.Tiers {
@@ -163,7 +162,7 @@ func TestFleetOwnerLossFallback(t *testing.T) {
 			t.Fatalf("replica %d precompute: %v", i, err)
 		}
 	}
-	_, before, _ := f.msms[0].CacheStats()
+	before := f.msms[0].StoreStats().Misses
 
 	// Kill replica 1's HTTP face; its MSM object stays alive but replica 0
 	// can no longer reach it.
@@ -171,12 +170,12 @@ func TestFleetOwnerLossFallback(t *testing.T) {
 
 	sweep(t, f.msms[0], 0.7)
 
-	_, after, _ := f.msms[0].CacheStats()
+	after := f.msms[0].StoreStats().Misses
 	if after <= before {
 		t.Errorf("survivor solves went %d -> %d; expected local re-solves of the dead owner's channels", before, after)
 	}
-	st, ok := f.msms[0].FabricStats()
-	if !ok || st.Remote == nil {
+	st := f.msms[0].MechStats().Fabric
+	if st == nil || st.Remote == nil {
 		t.Fatal("survivor reports no remote fabric stats")
 	}
 	if st.Remote.Fallbacks == 0 {
@@ -264,8 +263,8 @@ func TestFleetFlappingPeerSingleBudgetCharge(t *testing.T) {
 	if got := ledger.Remaining("alice"); math.Abs(got-want) > 1e-9 {
 		t.Errorf("remaining budget %g, want %g: flapping remote changed the charge", got, want)
 	}
-	st, ok := m.FabricStats()
-	if !ok || st.Remote == nil {
+	st := m.MechStats().Fabric
+	if st == nil || st.Remote == nil {
 		t.Fatal("no remote fabric stats")
 	}
 	if st.Remote.Fallbacks == 0 && st.Remote.Retries == 0 {

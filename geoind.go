@@ -16,9 +16,9 @@ import (
 	"geoind/internal/grid"
 	"geoind/internal/laplace"
 	"geoind/internal/lp"
-	"geoind/internal/metrics"
 	"geoind/internal/opt"
 	"geoind/internal/prior"
+	"geoind/internal/server"
 )
 
 // Point is a location in planar kilometre coordinates.
@@ -299,18 +299,14 @@ const optBatchStreamSalt = 0x3c6ef372fe94f82b
 
 // Optimal is the optimal GeoInd mechanism over a regular grid.
 type Optimal struct {
-	ch          *opt.Channel
-	sampler     opt.Sampler
-	kind        opt.SamplerKind
-	pruned      bool
-	localRadius float64
-	localFloor  float64
-	localFB     int64 // 1 when a requested local build fell back to dense
-	rng         *rand.Rand
-	mu          sync.Mutex
-	seed        uint64
-	workers     int
-	pointID     atomic.Uint64
+	ch      *opt.Channel
+	sampler opt.Sampler
+	local   server.LocalStats // fixed at construction
+	rng     *rand.Rand
+	mu      sync.Mutex
+	seed    uint64
+	workers int
+	pointID atomic.Uint64
 }
 
 // NewOptimal solves the OPT linear program and returns a sampling-ready
@@ -364,30 +360,27 @@ func NewOptimal(cfg OptimalConfig) (*Optimal, error) {
 			return nil, fmt.Errorf("geoind: %w", err)
 		}
 	}
-	pruned := false
 	if cfg.PruneMass > 0 && !ch.IsCompact() {
 		// Fail closed: a prune rejected by the GeoInd re-verification keeps
 		// the dense channel (pruning is an optimization, never required).
 		if compact, perr := ch.Prune(cfg.PruneMass, weights); perr == nil {
 			ch = compact
-			pruned = true
 		}
 	}
-	localFloor := cfg.LocalMassFloor
-	if cfg.LocalRadius > 0 && localFloor == 0 {
-		localFloor = opt.DefaultLocalMassFloor
+	local := server.LocalStats{RadiusKm: cfg.LocalRadius, MassFloor: cfg.LocalMassFloor, DenseFallbacks: localFB}
+	if cfg.LocalRadius > 0 && local.MassFloor == 0 {
+		local.MassFloor = opt.DefaultLocalMassFloor
+	}
+	if ch.IsLocal() {
+		local.LocalChannels = 1
 	}
 	return &Optimal{
-		ch:          ch,
-		sampler:     ch.Sampler(kind),
-		kind:        kind,
-		pruned:      pruned,
-		localRadius: cfg.LocalRadius,
-		localFloor:  localFloor,
-		localFB:     localFB,
-		rng:         rand.New(rand.NewPCG(cfg.Seed, 0xb5297a4d)),
-		seed:        cfg.Seed,
-		workers:     cfg.Workers,
+		ch:      ch,
+		sampler: ch.Sampler(kind),
+		local:   local,
+		rng:     rand.New(rand.NewPCG(cfg.Seed, 0xb5297a4d)),
+		seed:    cfg.Seed,
+		workers: cfg.Workers,
 	}, nil
 }
 
@@ -468,22 +461,12 @@ func (o *Optimal) VerifyGeoInd() float64 {
 	return o.ch.VerifyMaxExcess()
 }
 
-// SamplerInfo reports the sampling configuration: the sampler kind in use
-// and whether the channel was compacted by pruning (pruned is false when
-// PruneMass was 0 or the compact form failed re-verification).
-func (o *Optimal) SamplerInfo() (kind string, pruned bool) {
-	return o.kind.String(), o.pruned
-}
-
-// LocalInfo reports the locally relevant OPT configuration: the requested
-// radius and mass floor (radius 0 means the variant is off), how many
-// channels were solved over a reduced domain (0 or 1 for this flat
-// mechanism), and whether the local build fell back to a dense solve.
-func (o *Optimal) LocalInfo() (radius, massFloor float64, localChannels, denseFallbacks int64) {
-	if o.ch.IsLocal() {
-		localChannels = 1
-	}
-	return o.localRadius, o.localFloor, localChannels, o.localFB
+// MechStats implements server.Statser with the locally relevant OPT
+// section (radius 0 means the variant is off; this flat mechanism solves at
+// most one local channel).
+func (o *Optimal) MechStats() server.MechStats {
+	local := o.local
+	return server.MechStats{Local: &local}
 }
 
 // ---------------------------------------------------------------------------
@@ -765,37 +748,39 @@ func (m *MSM) PrecomputeCtx(ctx context.Context) error { return m.m.PrecomputeCt
 // Stats returns the number of reports served and LP solves performed.
 func (m *MSM) Stats() (queries, solves int) { return m.m.Stats() }
 
-// CacheStats reports channel-store behaviour: lookups satisfied without a
-// solve (hits, including requests deduplicated against an in-flight solve),
-// solves performed (misses), and resident channels.
-func (m *MSM) CacheStats() (hits, misses, entries int64) {
-	st := m.m.Store().Stats()
-	return st.Hits, st.Misses, st.Entries
-}
-
 // StoreStats returns the full channel-store counter snapshot, including
 // snapshot-persistence activity (disk hits and write-behind writes).
 func (m *MSM) StoreStats() channel.Stats { return m.m.Store().Stats() }
 
-// DirCacheStats returns the persistent snapshot cache's own counters — loads,
-// hits, decode errors, and version misses (intact files written by a foreign
-// snapshot format version, e.g. a v1 directory warming a v2 process). ok is
-// false when no cache directory is configured.
-func (m *MSM) DirCacheStats() (channel.DirStats, bool) { return m.m.Store().BackingStats() }
-
-// SamplerInfo reports the warm-path sampling configuration (sampler kind,
-// configured prune mass) and the pruning counters: solved channels
-// compacted, and dense fallbacks after a failed post-prune verification.
-func (m *MSM) SamplerInfo() (kind string, pruneMass float64, pruned, fallbacks int64) {
-	return m.m.SamplerInfo()
+// MechStats implements server.Statser: the store, snapshot cache and sampler
+// sections, the locally relevant OPT section (radius 0 means off) and, with
+// MSMConfig.Fabric, the fabric counters and fetch-latency histogram.
+func (m *MSM) MechStats() server.MechStats {
+	st := storeMechStats(m.m)
+	radius, floor, local, fallbacks := m.m.LocalInfo()
+	st.Local = &server.LocalStats{RadiusKm: radius, MassFloor: floor, LocalChannels: local, DenseFallbacks: fallbacks}
+	if m.fab != nil {
+		fst := m.fab.Stats()
+		st.Fabric, st.FetchLatency = &fst, m.fab.FetchLatency()
+	}
+	return st
 }
 
-// LocalInfo reports the locally relevant OPT configuration (radius 0 means
-// off) and its solve counters: channels solved over a reduced domain, and
-// local builds that fell back to the dense formulation after a failed
-// restricted-verifier gate or unconverged reduced LP.
-func (m *MSM) LocalInfo() (radius, massFloor float64, localChannels, denseFallbacks int64) {
-	return m.m.LocalInfo()
+// storeMechStats is the stats snapshot every mechanism over a channel store
+// shares: the store, its snapshot cache when one is configured, and the
+// warm-path sampler with its pruning counters.
+func storeMechStats(m interface {
+	Store() *channel.Store
+	SamplerInfo() (kind string, pruneMass float64, pruned, fallbacks int64)
+}) server.MechStats {
+	store := m.Store().Stats()
+	st := server.MechStats{Store: &store, Sampler: &server.SamplerStats{}}
+	sam := st.Sampler
+	sam.Kind, sam.PruneMass, sam.PrunedChannels, sam.PruneFallbacks = m.SamplerInfo()
+	if dir, ok := m.Store().BackingStats(); ok {
+		st.Dir = &dir
+	}
+	return st
 }
 
 // FlushCache blocks until every solved channel handed to the persistent
@@ -808,25 +793,6 @@ func (m *MSM) FlushCache() {
 	if m.fab != nil {
 		m.fab.Sync()
 	}
-}
-
-// FabricStats snapshots the distributed channel fabric — per-tier hit/miss
-// counters and remote fetch/hedge/fallback activity. ok is false when the
-// mechanism was built without MSMConfig.Fabric.
-func (m *MSM) FabricStats() (fabric.Stats, bool) {
-	if m.fab == nil {
-		return fabric.Stats{}, false
-	}
-	return m.fab.Stats(), true
-}
-
-// FabricFetchLatency exposes the fabric's remote-fetch latency histogram
-// (seconds); nil without a fabric or for a single-replica fleet.
-func (m *MSM) FabricFetchLatency() *metrics.Histogram {
-	if m.fab == nil {
-		return nil
-	}
-	return m.fab.FetchLatency()
 }
 
 // OwnsChannel reports whether this replica owns key under the fleet's
@@ -863,4 +829,6 @@ var (
 	_ BatchMechanismCtx = (*PlanarLaplace)(nil)
 	_ BatchMechanismCtx = (*Optimal)(nil)
 	_ BatchMechanismCtx = (*MSM)(nil)
+	_ server.Statser    = (*Optimal)(nil)
+	_ server.Statser    = (*MSM)(nil)
 )

@@ -254,26 +254,3 @@ func (h *Hierarchy) ChildCell(level, row, col int, p geo.Point) (idx int, ok boo
 	}
 	return r*h.fanout + c, true
 }
-
-// ChildIndex converts a local cell index within SubGrid(level, parentIdx)
-// into the global cell index at level+1.
-func (h *Hierarchy) ChildIndex(level, parentIdx, localIdx int) int {
-	f := h.fanout
-	localRow, localCol := localIdx/f, localIdx%f
-	var pRow, pCol int
-	if level > 0 {
-		pRow, pCol = h.LevelGrid(level).RowCol(parentIdx)
-	}
-	child := h.LevelGrid(level + 1)
-	return child.Index(pRow*f+localRow, pCol*f+localCol)
-}
-
-// ParentIndex returns the index at level-1 of the parent of cell idx at
-// level. For level 1 it returns 0 (the virtual root).
-func (h *Hierarchy) ParentIndex(level, idx int) int {
-	if level <= 1 {
-		return 0
-	}
-	row, col := h.LevelGrid(level).RowCol(idx)
-	return h.LevelGrid(level-1).Index(row/h.fanout, col/h.fanout)
-}

@@ -163,65 +163,26 @@ func TestSubGridRootCoversRegion(t *testing.T) {
 	}
 }
 
-// TestChildIndexGeometry: the rect of local cell j of SubGrid(level, parent)
-// equals the rect of global cell ChildIndex(level, parent, j) at level+1.
-func TestChildIndexGeometry(t *testing.T) {
-	h, _ := NewHierarchy(unit20(), 3, 3)
-	for level := 0; level < 3; level++ {
-		nParents := 1
-		if level > 0 {
-			nParents = h.LevelGrid(level).NumCells()
-		}
-		for parent := 0; parent < nParents; parent++ {
-			sg := h.SubGrid(level, parent)
-			for local := 0; local < sg.NumCells(); local++ {
-				global := h.ChildIndex(level, parent, local)
-				got := sg.CellRect(local)
-				want := h.LevelGrid(level + 1).CellRect(global)
-				if math.Abs(got.MinX-want.MinX) > 1e-9 || math.Abs(got.MinY-want.MinY) > 1e-9 ||
-					math.Abs(got.MaxX-want.MaxX) > 1e-9 || math.Abs(got.MaxY-want.MaxY) > 1e-9 {
-					t.Fatalf("level %d parent %d local %d: %v != %v", level, parent, local, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestParentChildInverse: ParentIndex inverts ChildIndex.
-func TestParentChildInverse(t *testing.T) {
-	h, _ := NewHierarchy(unit20(), 4, 3)
-	rng := rand.New(rand.NewPCG(5, 6))
-	for trial := 0; trial < 200; trial++ {
-		level := rng.IntN(3) // 0..2
-		nParents := 1
-		if level > 0 {
-			nParents = h.LevelGrid(level).NumCells()
-		}
-		parent := rng.IntN(nParents)
-		local := rng.IntN(h.Fanout() * h.Fanout())
-		child := h.ChildIndex(level, parent, local)
-		if got := h.ParentIndex(level+1, child); got != parent {
-			t.Fatalf("ParentIndex(level=%d, child=%d)=%d want %d", level+1, child, got, parent)
-		}
-	}
-}
-
-// TestHierarchyPointDescent: descending through enclosing cells lands in the
-// same leaf cell as direct indexing at the leaf grid.
+// TestHierarchyPointDescent: descending through enclosing cells with
+// ChildCell lands in the same leaf cell as direct indexing at the leaf grid.
 func TestHierarchyPointDescent(t *testing.T) {
 	h, _ := NewHierarchy(unit20(), 3, 3)
+	f := h.Fanout()
 	rng := rand.New(rand.NewPCG(8, 9))
 	for trial := 0; trial < 500; trial++ {
 		p := geo.Point{X: rng.Float64() * 20, Y: rng.Float64() * 20}
-		parent := 0
+		row, col := 0, 0
 		for level := 0; level < h.Height(); level++ {
-			sg := h.SubGrid(level, parent)
-			local := sg.ClampIndex(p)
-			parent = h.ChildIndex(level, parent, local)
+			local, ok := h.ChildCell(level, row, col, p)
+			if !ok {
+				t.Fatalf("level %d cell (%d, %d) does not enclose %v", level, row, col, p)
+			}
+			row, col = row*f+local/f, col*f+local%f
 		}
-		direct, ok := h.LevelGrid(h.Height()).CellIndex(p)
-		if !ok || parent != direct {
-			t.Fatalf("descent landed at %d, direct index %d (ok=%v) for %v", parent, direct, ok, p)
+		leaf := h.LevelGrid(h.Height())
+		direct, ok := leaf.CellIndex(p)
+		if got := leaf.Index(row, col); !ok || got != direct {
+			t.Fatalf("descent landed at %d, direct index %d (ok=%v) for %v", got, direct, ok, p)
 		}
 	}
 }

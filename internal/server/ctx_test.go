@@ -13,14 +13,13 @@ import (
 	"geoind/internal/geo"
 )
 
-// blockingReporter implements Reporter, CtxReporter and CtxBatchReporter; its
-// report paths block until the request context dies, simulating a cold solve
-// that takes longer than the client is willing to wait.
+// blockingReporter is a Reporter whose report paths block until the request
+// context dies, simulating a cold solve that takes longer than the client is
+// willing to wait.
 type blockingReporter struct{}
 
-func (blockingReporter) Report(x geo.Point) (geo.Point, error) { return x, nil }
-func (blockingReporter) Epsilon() float64                      { return 0.5 }
-func (blockingReporter) Name() string                          { return "blocking" }
+func (blockingReporter) Epsilon() float64 { return 0.5 }
+func (blockingReporter) Name() string     { return "blocking" }
 
 func (blockingReporter) ReportCtx(ctx context.Context, x geo.Point) (geo.Point, error) {
 	<-ctx.Done()
@@ -139,11 +138,11 @@ func TestReadinessFlipsOnShutdown(t *testing.T) {
 	}
 }
 
-// cancelStatser is a StoreStatser stub exposing cancellation counters.
+// cancelStatser is a Statser stub exposing cancellation counters.
 type cancelStatser struct{ blockingReporter }
 
-func (cancelStatser) StoreStats() channel.Stats {
-	return channel.Stats{Hits: 3, Misses: 1, Abandoned: 2, Canceled: 1}
+func (cancelStatser) MechStats() MechStats {
+	return MechStats{Store: &channel.Stats{Hits: 3, Misses: 1, Abandoned: 2, Canceled: 1}}
 }
 
 // TestStatsExposeCancellation: /v1/stats surfaces the store's Abandoned and

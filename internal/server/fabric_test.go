@@ -40,8 +40,7 @@ func (f *fabricReporter) ChannelSnapshot(_ context.Context, key channel.Key, sol
 	return f.frame, nil
 }
 
-func (f *fabricReporter) FabricStats() (fabric.Stats, bool)      { return f.st, true }
-func (f *fabricReporter) FabricFetchLatency() *metrics.Histogram { return f.hist }
+func (f *fabricReporter) MechStats() MechStats { return MechStats{Fabric: &f.st, FetchLatency: f.hist} }
 
 func newFabricReporter(t *testing.T) *fabricReporter {
 	t.Helper()

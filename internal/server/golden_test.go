@@ -213,7 +213,6 @@ func newGoldenMech() *goldenMech {
 	}
 }
 
-func (g *goldenMech) Report(x geo.Point) (geo.Point, error) { return x, nil }
 func (g *goldenMech) ReportCtx(_ context.Context, x geo.Point) (geo.Point, error) {
 	return x, nil
 }
@@ -223,9 +222,13 @@ func (g *goldenMech) ReportBatchCtx(_ context.Context, xs []geo.Point) ([]geo.Po
 func (g *goldenMech) Epsilon() float64 { return 0.5 }
 func (g *goldenMech) Name() string     { return "golden" }
 
-func (g *goldenMech) StoreStats() channel.Stats                    { return g.store }
-func (g *goldenMech) DirCacheStats() (channel.DirStats, bool)      { return g.dir, true }
-func (g *goldenMech) FabricStats() (fabric.Stats, bool)            { return g.fabric, true }
-func (g *goldenMech) FabricFetchLatency() *metrics.Histogram       { return g.hist }
-func (g *goldenMech) SamplerInfo() (string, float64, int64, int64) { return "alias", 0.02, 6, 1 }
-func (g *goldenMech) LocalInfo() (float64, float64, int64, int64)  { return 2.5, 0.05, 10, 2 }
+func (g *goldenMech) MechStats() server.MechStats {
+	return server.MechStats{
+		Store:        &g.store,
+		Dir:          &g.dir,
+		Sampler:      &server.SamplerStats{Kind: "alias", PruneMass: 0.02, PrunedChannels: 6, PruneFallbacks: 1},
+		Local:        &server.LocalStats{RadiusKm: 2.5, MassFloor: 0.05, LocalChannels: 10, DenseFallbacks: 2},
+		Fabric:       &g.fabric,
+		FetchLatency: g.hist,
+	}
+}

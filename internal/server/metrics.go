@@ -23,10 +23,10 @@ var latencyBuckets = []float64{
 }
 
 // serverMetrics owns the request-level instruments and the registry every
-// scrape renders. Store, budget and solve-queue statistics are not copied
+// scrape renders. Mechanism, session and trace statistics are not copied
 // into instruments: they are registered as scrape-time sampling functions
-// over the subsystems' own atomic counters, so /metrics and /v1/stats can
-// never disagree.
+// over the same snapshots and counters /v1/stats renders, so /metrics and
+// /v1/stats can never disagree.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -34,6 +34,11 @@ type serverMetrics struct {
 	// latency is one histogram per endpoint.
 	requests map[string]*requestCounters
 	latency  map[string]*metrics.Histogram
+
+	// mech is the mechanism snapshot the current scrape renders: the
+	// scrape handler takes one snapshot before every render, so all
+	// mechanism series of one scrape agree.
+	mech atomic.Pointer[MechStats]
 
 	budgetCharges *metrics.Counter
 	budgetRefunds *metrics.Counter
@@ -50,12 +55,12 @@ var instrumentedEndpoints = []string{
 }
 
 // newServerMetrics builds the registry and request instruments for one
-// server and wires the scrape-time gauges over the mechanism's store,
-// sampler and solve-queue counters (when the mechanism exposes them), the
+// server and wires the scrape-time series over the mechanism's stats
+// snapshot (one family set per section the snapshot at New holds), the
 // ledger's session/journal counters (when budgets are enforced), and the
 // trace pipeline's counters (zero until EnableTrace).
 func newServerMetrics(s *Server) *serverMetrics {
-	mech := s.mech
+	first := s.stats()
 	reg := metrics.NewRegistry()
 	m := &serverMetrics{
 		reg:      reg,
@@ -77,126 +82,109 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.epsRefunded = reg.FloatCounter("geoind_budget_eps_refunded_total",
 		"Total epsilon refunded to user budgets.", nil)
 
-	if ss, ok := mech.(StoreStatser); ok {
+	m.mech.Store(&first)
+	if first.Store != nil {
+		store := sample(func() *channel.Stats { return m.mech.Load().Store })
 		reg.CounterFunc("geoind_channel_cache_hits_total",
 			"Channel-store lookups satisfied without an LP solve.", nil,
-			func() float64 { return float64(ss.StoreStats().Hits) })
+			store(func(st *channel.Stats) int64 { return st.Hits }))
 		reg.CounterFunc("geoind_channel_cache_misses_total",
 			"Channel-store lookups that performed an LP solve.", nil,
-			func() float64 { return float64(ss.StoreStats().Misses) })
+			store(func(st *channel.Stats) int64 { return st.Misses }))
 		reg.CounterFunc("geoind_channel_cache_evictions_total",
 			"Channels evicted by the cost-aware LRU policy.", nil,
-			func() float64 { return float64(ss.StoreStats().Evictions) })
+			store(func(st *channel.Stats) int64 { return st.Evictions }))
 		reg.CounterFunc("geoind_channel_cache_disk_hits_total",
 			"Channel loads satisfied by the persistent snapshot cache.", nil,
-			func() float64 { return float64(ss.StoreStats().BackingHits) })
+			store(func(st *channel.Stats) int64 { return st.BackingHits }))
 		reg.CounterFunc("geoind_channel_cache_disk_writes_total",
 			"Solved channels handed to the snapshot cache for write-behind.", nil,
-			func() float64 { return float64(ss.StoreStats().BackingWrites) })
+			store(func(st *channel.Stats) int64 { return st.BackingWrites }))
 		reg.CounterFunc("geoind_channel_solves_abandoned_total",
 			"Waiters that gave up on an in-flight solve.", nil,
-			func() float64 { return float64(ss.StoreStats().Abandoned) })
+			store(func(st *channel.Stats) int64 { return st.Abandoned }))
 		reg.CounterFunc("geoind_channel_solves_canceled_total",
 			"Solves aborted before completion.", nil,
-			func() float64 { return float64(ss.StoreStats().Canceled) })
+			store(func(st *channel.Stats) int64 { return st.Canceled }))
 		reg.CounterFunc("geoind_solve_rejected_total",
 			"Cold-solve admissions rejected with 429 because the queue was full.", nil,
-			func() float64 { return float64(ss.StoreStats().Rejected) })
+			store(func(st *channel.Stats) int64 { return st.Rejected }))
 		reg.GaugeFunc("geoind_channel_cache_entries",
 			"Resident channels in the store.", nil,
-			func() float64 { return float64(ss.StoreStats().Entries) })
+			store(func(st *channel.Stats) int64 { return st.Entries }))
 		reg.GaugeFunc("geoind_channel_cache_cost_bytes",
 			"Resident channel bytes under the cache budget.", nil,
-			func() float64 { return float64(ss.StoreStats().Cost) })
+			store(func(st *channel.Stats) int64 { return st.Cost }))
 		reg.GaugeFunc("geoind_solves_inflight",
 			"Channel solves currently executing.", nil,
-			func() float64 { return float64(ss.StoreStats().Inflight) })
+			store(func(st *channel.Stats) int64 { return st.Inflight }))
 		reg.GaugeFunc("geoind_solve_queue_depth",
 			"Admitted solves waiting for a free solve slot.", nil,
-			func() float64 { return float64(ss.StoreStats().Queued) })
+			store(func(st *channel.Stats) int64 { return st.Queued }))
 	}
-	if fs, ok := mech.(FabricStatser); ok {
-		if fst, have := fs.FabricStats(); have {
-			// The tier chain is fixed at startup, so one series per tier can
-			// be registered up front; each samples the live counters by name.
-			for _, t := range fst.Tiers {
-				name := t.Name
-				tier := func() channel.TierStats {
-					st, _ := fs.FabricStats()
-					for _, cand := range st.Tiers {
-						if cand.Name == name {
-							return cand
-						}
-					}
-					return channel.TierStats{}
+	if first.Fabric != nil {
+		// The tier chain is fixed at startup, so one series per tier can be
+		// registered up front; each samples its tier's live counters.
+		for i, t := range first.Fabric.Tiers {
+			tier := sample(func() *channel.TierStats {
+				if f := m.mech.Load().Fabric; f != nil && i < len(f.Tiers) {
+					return &f.Tiers[i]
 				}
-				ls := metrics.Labels{"tier": name}
-				reg.CounterFunc("geoind_fabric_tier_loads_total",
-					"Channel lookups that reached this fabric tier.", ls,
-					func() float64 { return float64(tier().Loads) })
-				reg.CounterFunc("geoind_fabric_tier_hits_total",
-					"Fabric tier lookups that returned a verified channel.", ls,
-					func() float64 { return float64(tier().Hits) })
-				reg.CounterFunc("geoind_fabric_tier_errors_total",
-					"Fabric tier snapshots rejected as corrupt or undecodable.", ls,
-					func() float64 { return float64(tier().Errors) })
-				reg.CounterFunc("geoind_fabric_tier_version_misses_total",
-					"Intact fabric-tier snapshots skipped for a foreign format version.", ls,
-					func() float64 { return float64(tier().VersionMisses) })
-				reg.CounterFunc("geoind_fabric_tier_writes_total",
-					"Snapshots stored into this fabric tier (write-behind and promotions).", ls,
-					func() float64 { return float64(tier().Writes) })
-			}
-			remote := func() *fabric.RemoteStats {
-				st, _ := fs.FabricStats()
-				return st.Remote
-			}
-			if remote() != nil {
-				sample := func(pick func(*fabric.RemoteStats) int64) func() float64 {
-					return func() float64 {
-						if rs := remote(); rs != nil {
-							return float64(pick(rs))
-						}
-						return 0
-					}
+				return nil
+			})
+			ls := metrics.Labels{"tier": t.Name}
+			reg.CounterFunc("geoind_fabric_tier_loads_total",
+				"Channel lookups that reached this fabric tier.", ls,
+				tier(func(t *channel.TierStats) int64 { return t.Loads }))
+			reg.CounterFunc("geoind_fabric_tier_hits_total",
+				"Fabric tier lookups that returned a verified channel.", ls,
+				tier(func(t *channel.TierStats) int64 { return t.Hits }))
+			reg.CounterFunc("geoind_fabric_tier_errors_total",
+				"Fabric tier snapshots rejected as corrupt or undecodable.", ls,
+				tier(func(t *channel.TierStats) int64 { return t.Errors }))
+			reg.CounterFunc("geoind_fabric_tier_version_misses_total",
+				"Intact fabric-tier snapshots skipped for a foreign format version.", ls,
+				tier(func(t *channel.TierStats) int64 { return t.VersionMisses }))
+			reg.CounterFunc("geoind_fabric_tier_writes_total",
+				"Snapshots stored into this fabric tier (write-behind and promotions).", ls,
+				tier(func(t *channel.TierStats) int64 { return t.Writes }))
+		}
+		if first.Fabric.Remote != nil {
+			remote := sample(func() *fabric.RemoteStats {
+				if f := m.mech.Load().Fabric; f != nil {
+					return f.Remote
 				}
-				reg.CounterFunc("geoind_fabric_remote_fetches_total",
-					"Remote snapshot HTTP requests issued (primaries, hedges, retries).", nil,
-					sample(func(rs *fabric.RemoteStats) int64 { return rs.Fetches }))
-				reg.CounterFunc("geoind_fabric_remote_hedges_total",
-					"Hedged second fetches launched after the latency threshold.", nil,
-					sample(func(rs *fabric.RemoteStats) int64 { return rs.Hedges }))
-				reg.CounterFunc("geoind_fabric_remote_hedge_wins_total",
-					"Hedged fetches that answered first with a usable snapshot.", nil,
-					sample(func(rs *fabric.RemoteStats) int64 { return rs.HedgeWins }))
-				reg.CounterFunc("geoind_fabric_remote_retries_total",
-					"Remote fetch retries after transient failures.", nil,
-					sample(func(rs *fabric.RemoteStats) int64 { return rs.Retries }))
-				reg.CounterFunc("geoind_fabric_remote_fallbacks_total",
-					"Remote lookups that gave up; the local solve path took over.", nil,
-					sample(func(rs *fabric.RemoteStats) int64 { return rs.Fallbacks }))
-			}
-			if h := fs.FabricFetchLatency(); h != nil {
-				reg.RegisterHistogram("geoind_fabric_fetch_duration_seconds",
-					"Remote snapshot fetch latency (completed attempts).", nil, h)
-			}
+				return nil
+			})
+			reg.CounterFunc("geoind_fabric_remote_fetches_total",
+				"Remote snapshot HTTP requests issued (primaries, hedges, retries).", nil,
+				remote(func(rs *fabric.RemoteStats) int64 { return rs.Fetches }))
+			reg.CounterFunc("geoind_fabric_remote_hedges_total",
+				"Hedged second fetches launched after the latency threshold.", nil,
+				remote(func(rs *fabric.RemoteStats) int64 { return rs.Hedges }))
+			reg.CounterFunc("geoind_fabric_remote_hedge_wins_total",
+				"Hedged fetches that answered first with a usable snapshot.", nil,
+				remote(func(rs *fabric.RemoteStats) int64 { return rs.HedgeWins }))
+			reg.CounterFunc("geoind_fabric_remote_retries_total",
+				"Remote fetch retries after transient failures.", nil,
+				remote(func(rs *fabric.RemoteStats) int64 { return rs.Retries }))
+			reg.CounterFunc("geoind_fabric_remote_fallbacks_total",
+				"Remote lookups that gave up; the local solve path took over.", nil,
+				remote(func(rs *fabric.RemoteStats) int64 { return rs.Fallbacks }))
+		}
+		if first.FetchLatency != nil {
+			reg.RegisterHistogram("geoind_fabric_fetch_duration_seconds",
+				"Remote snapshot fetch latency (completed attempts).", nil, first.FetchLatency)
 		}
 	}
-	if ds, ok := mech.(DirStatser); ok {
-		if _, have := ds.DirCacheStats(); have {
-			reg.CounterFunc("geoind_snapshot_version_misses_total",
-				"Intact snapshot files skipped for a foreign format version.", nil,
-				func() float64 {
-					st, _ := ds.DirCacheStats()
-					return float64(st.VersionMisses)
-				})
-			reg.CounterFunc("geoind_snapshot_disk_errors_total",
-				"Snapshot files rejected as corrupt or undecodable.", nil,
-				func() float64 {
-					st, _ := ds.DirCacheStats()
-					return float64(st.Errors)
-				})
-		}
+	if first.Dir != nil {
+		dir := sample(func() *channel.DirStats { return m.mech.Load().Dir })
+		reg.CounterFunc("geoind_snapshot_version_misses_total",
+			"Intact snapshot files skipped for a foreign format version.", nil,
+			dir(func(d *channel.DirStats) int64 { return d.VersionMisses }))
+		reg.CounterFunc("geoind_snapshot_disk_errors_total",
+			"Snapshot files rejected as corrupt or undecodable.", nil,
+			dir(func(d *channel.DirStats) int64 { return d.Errors }))
 	}
 	if s.ledger != nil {
 		sess := s.ledger.Sessions()
@@ -212,14 +200,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		reg.CounterFunc("geoind_session_memo_writes_total",
 			"Releases memoized as session predictions.", nil,
 			func() float64 { return float64(sess.Stats().MemoWrites) })
-		journal := func(pick func(*session.JournalStats) int64) func() float64 {
-			return func() float64 {
-				if js := sess.Stats().Journal; js != nil {
-					return float64(pick(js))
-				}
-				return 0
-			}
-		}
+		journal := sample(func() *session.JournalStats { return sess.Stats().Journal })
 		reg.CounterFunc("geoind_session_journal_records_total",
 			"Session-state records appended to the durability journal.", nil,
 			journal(func(js *session.JournalStats) int64 { return js.Records }))
@@ -236,14 +217,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Replay anomalies tolerated (torn tails truncated, spends clamped).", nil,
 			journal(func(js *session.JournalStats) int64 { return js.Anomalies }))
 	}
-	trace := func(pick func(*traceState) int64) func() float64 {
-		return func() float64 {
-			if ts := s.trace.Load(); ts != nil {
-				return float64(pick(ts))
-			}
-			return 0
-		}
-	}
+	trace := sample(s.trace.Load)
 	reg.CounterFunc("geoind_trace_fresh_total",
 		"Trace steps that ran the underlying mechanism.", nil,
 		trace(func(ts *traceState) int64 { return ts.fresh.Load() }))
@@ -257,6 +231,20 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Trace steps refused because the user's budget window was exhausted.", nil,
 		trace(func(ts *traceState) int64 { return ts.denied.Load() }))
 	return m
+}
+
+// sample binds an optional stats section, loaded at scrape time: the
+// returned function turns one counter of the section into a scrape-time
+// reading, 0 while the section is absent.
+func sample[T any](section func() *T) func(pick func(*T) int64) func() float64 {
+	return func(pick func(*T) int64) func() float64 {
+		return func() float64 {
+			if sec := section(); sec != nil {
+				return float64(pick(sec))
+			}
+			return 0
+		}
+	}
 }
 
 // chargeBudget / refundBudget record n ledger debits (credits) totalling
@@ -331,39 +319,11 @@ func (rc *requestCounters) get(code int) *metrics.Counter {
 	}
 	c := rc.reg.Counter("geoind_requests_total",
 		"HTTP requests served, by endpoint and status code.",
-		metrics.Labels{"endpoint": rc.endpoint, "code": statusText(code)})
+		metrics.Labels{"endpoint": rc.endpoint, "code": strconv.Itoa(code)})
 	next := maps.Clone(cur)
 	next[code] = c
 	rc.byCode.Store(&next)
 	return c
-}
-
-// statusText renders a status code as its metric label.
-func statusText(code int) string {
-	// Fast path for the codes the server actually emits.
-	switch code {
-	case http.StatusOK:
-		return "200"
-	case http.StatusBadRequest:
-		return "400"
-	case http.StatusNotFound:
-		return "404"
-	case http.StatusMethodNotAllowed:
-		return "405"
-	case http.StatusRequestEntityTooLarge:
-		return "413"
-	case http.StatusTooManyRequests:
-		return "429"
-	case statusClientClosedRequest:
-		return "499"
-	case http.StatusInternalServerError:
-		return "500"
-	case http.StatusServiceUnavailable:
-		return "503"
-	case http.StatusGatewayTimeout:
-		return "504"
-	}
-	return strconv.Itoa(code)
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
@@ -375,6 +335,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET only"})
 		return
 	}
+	st := s.stats()
+	s.metrics.mech.Store(&st)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.metrics.reg.WritePrometheus(w)
 }

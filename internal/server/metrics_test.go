@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -145,11 +146,11 @@ type overloadReporter struct {
 	Reporter
 }
 
-func (r *overloadReporter) Report(geo.Point) (geo.Point, error) {
+func (r *overloadReporter) ReportCtx(context.Context, geo.Point) (geo.Point, error) {
 	return geo.Point{}, fmt.Errorf("solve channel: %w", channel.ErrSolveOverload)
 }
 
-func (r *overloadReporter) ReportBatch([]geo.Point) ([]geo.Point, error) {
+func (r *overloadReporter) ReportBatchCtx(context.Context, []geo.Point) ([]geo.Point, error) {
 	return nil, fmt.Errorf("solve channel: %w", channel.ErrSolveOverload)
 }
 

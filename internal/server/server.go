@@ -16,69 +16,47 @@ import (
 	"geoind/internal/session"
 )
 
-// Reporter is the mechanism interface the server fronts. The public
-// geoind.Mechanism satisfies it (geoind.Point is an alias of geo.Point).
+// Reporter is the mechanism the server fronts. Reports run under the
+// request's context (plus the request timeout), so a client that disconnects
+// mid-report stops paying for the work it no longer wants. Every public
+// geoind mechanism satisfies it (geoind.Point is an alias of geo.Point).
 type Reporter interface {
-	Report(x geo.Point) (geo.Point, error)
+	ReportCtx(ctx context.Context, x geo.Point) (geo.Point, error)
+	ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.Point, error)
 	Epsilon() float64
 	Name() string
 }
 
-// BatchReporter is optionally implemented by mechanisms with a pooled batch
-// path (every public geoind mechanism is one). The batch handler uses it
-// when available and falls back to a sequential Report loop otherwise.
-type BatchReporter interface {
-	ReportBatch(xs []geo.Point) ([]geo.Point, error)
+// Statser is optionally implemented by mechanisms with counters of their own
+// (geoind.MSM, geoind.AdaptiveMSM and geoind.Optimal are). /v1/stats and
+// /metrics both render the snapshot it returns; a mechanism without it
+// reports no mechanism sections.
+type Statser interface {
+	MechStats() MechStats
 }
 
-// CtxReporter is optionally implemented by mechanisms whose report path is
-// cancelable. When the mechanism provides it, each /v1/report runs under the
-// request's context (plus the configured request timeout), so a client that
-// disconnects mid-report stops paying for the work it no longer wants.
-type CtxReporter interface {
-	ReportCtx(ctx context.Context, x geo.Point) (geo.Point, error)
-}
-
-// CtxBatchReporter is the cancelable batch counterpart of CtxReporter.
-type CtxBatchReporter interface {
-	ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.Point, error)
-}
-
-// StoreStatser is optionally implemented by mechanisms backed by a channel
-// store (geoind.MSM and geoind.AdaptiveMSM are). When the mechanism provides
-// it, /v1/stats exposes the store counters — including persistent-cache disk
-// hits and write-behind writes, the observable proof of a zero-solve warm
-// restart.
-type StoreStatser interface {
-	StoreStats() channel.Stats
-}
-
-// SamplerStatser is optionally implemented by mechanisms with a configurable
-// warm-path sampler and channel pruning (geoind.MSM and geoind.AdaptiveMSM
-// are). When the mechanism provides it, /v1/stats exposes the sampler kind in
-// use, the configured prune mass, and the per-variant channel counters.
-type SamplerStatser interface {
-	SamplerInfo() (kind string, pruneMass float64, pruned, fallbacks int64)
-}
-
-// LocalStatser is optionally implemented by mechanisms supporting the
-// locally relevant OPT construction (geoind.MSM and geoind.Optimal are).
-// When the mechanism provides it and the variant is enabled (radius > 0),
-// /v1/stats exposes the local configuration, the count of channels solved
-// over a reduced domain, and the dense fallbacks taken when a local build
-// failed its restricted GeoInd gate.
-type LocalStatser interface {
-	LocalInfo() (radius, massFloor float64, localChannels, denseFallbacks int64)
-}
-
-// DirStatser is optionally implemented by mechanisms with a persistent
-// snapshot cache (geoind.MSM and geoind.AdaptiveMSM are). It exposes the
-// cache directory's own counters — in particular version misses, which make a
-// snapshot-format rollout observable: a v1 directory warming a v2 process
-// counts version misses (benign, files are rewritten) rather than errors
-// (corrupt or undecodable files).
-type DirStatser interface {
-	DirCacheStats() (channel.DirStats, bool)
+// MechStats is one snapshot of a mechanism's counters. Every section is
+// optional: nil means the mechanism has no such part.
+type MechStats struct {
+	// Store holds the channel-store counters, including persistent-cache
+	// disk hits and write-behind writes: the observable proof of a
+	// zero-solve warm restart.
+	Store *channel.Stats
+	// Dir holds the snapshot cache directory's own counters; its version
+	// misses (benign, files are rewritten) make a snapshot-format rollout
+	// observable apart from errors. /v1/stats reports it only beside Store.
+	Dir *channel.DirStats
+	// Sampler is the warm-path sampler in use, the configured prune mass and
+	// the per-variant channel counters.
+	Sampler *SamplerStats
+	// Local is the locally relevant OPT configuration and its counters; it
+	// is reported only while the variant is enabled (RadiusKm > 0).
+	Local *LocalStats
+	// Fabric holds the per-tier and remote-fetch counters of a mechanism
+	// joined to a channel fabric; FetchLatency is its remote-fetch latency
+	// histogram in seconds, nil for a single-replica fleet.
+	Fabric       *fabric.Stats
+	FetchLatency *metrics.Histogram
 }
 
 // ChannelSource is optionally implemented by mechanisms that can serve
@@ -90,15 +68,6 @@ type ChannelSource interface {
 	ChannelSnapshot(ctx context.Context, key channel.Key, solve bool) ([]byte, error)
 }
 
-// FabricStatser is optionally implemented by mechanisms joined to a channel
-// fabric (geoind.MSM with MSMConfig.Fabric is). When the mechanism provides
-// it, /v1/stats exposes the per-tier and remote-fetch counters and /metrics
-// exposes the same series plus the fetch-latency histogram.
-type FabricStatser interface {
-	FabricStats() (fabric.Stats, bool)
-	FabricFetchLatency() *metrics.Histogram
-}
-
 // MaxBatchSize bounds the number of points one /v1/report:batch request may
 // carry; larger batches are rejected with 413 before any budget is charged.
 const MaxBatchSize = 1024
@@ -107,6 +76,7 @@ const MaxBatchSize = 1024
 // budget ledger, and the region bounds used for input validation.
 type Server struct {
 	mech       Reporter
+	stats      func() MechStats // the mechanism's snapshot, empty without a Statser
 	ledger     *Ledger
 	region     geo.Rect
 	mux        *http.ServeMux
@@ -130,6 +100,10 @@ func New(mech Reporter, ledger *Ledger, region geo.Rect) (*Server, error) {
 			ledger.Limit(), mech.Epsilon())
 	}
 	s := &Server{mech: mech, ledger: ledger, region: region, mux: http.NewServeMux()}
+	s.stats = func() MechStats { return MechStats{} }
+	if st, ok := mech.(Statser); ok {
+		s.stats = st.MechStats
+	}
 	s.metrics = newServerMetrics(s)
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealth))
 	s.mux.HandleFunc("/v1/healthz", s.instrument("/v1/healthz", s.handleReady))
@@ -472,77 +446,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET only"})
 		return
 	}
-	resp := StatsResponse{Mechanism: s.mech.Name()}
-	if ss, ok := s.mech.(StoreStatser); ok {
-		st := ss.StoreStats()
-		resp.ChannelCache = &ChannelCacheStats{
-			Hits:            st.Hits,
-			Misses:          st.Misses,
-			DiskHits:        st.BackingHits,
-			DiskWrites:      st.BackingWrites,
-			Entries:         st.Entries,
-			CostBytes:       st.Cost,
-			Evictions:       st.Evictions,
-			Abandoned:       st.Abandoned,
-			Canceled:        st.Canceled,
-			SolveQueueDepth: st.Queued,
-			SolveRejected:   st.Rejected,
-		}
-		if ds, ok := s.mech.(DirStatser); ok {
-			if dst, ok := ds.DirCacheStats(); ok {
-				resp.ChannelCache.VersionMisses = dst.VersionMisses
-				resp.ChannelCache.DiskErrors = dst.Errors
-			}
-		}
-	}
-	if sam, ok := s.mech.(SamplerStatser); ok {
-		kind, pruneMass, pruned, fallbacks := sam.SamplerInfo()
-		resp.Sampler = &SamplerStats{
-			Kind:           kind,
-			PruneMass:      pruneMass,
-			PrunedChannels: pruned,
-			PruneFallbacks: fallbacks,
-		}
-	}
-	if ls, ok := s.mech.(LocalStatser); ok {
-		if radius, massFloor, local, fallbacks := ls.LocalInfo(); radius > 0 {
-			resp.Local = &LocalStats{
-				RadiusKm:       radius,
-				MassFloor:      massFloor,
-				LocalChannels:  local,
-				DenseFallbacks: fallbacks,
-			}
-		}
-	}
-	if fs, ok := s.mech.(FabricStatser); ok {
-		if fst, ok := fs.FabricStats(); ok {
-			sec := &FabricStats{Self: fst.Self, Peers: fst.Peers}
-			for _, t := range fst.Tiers {
-				sec.Tiers = append(sec.Tiers, FabricTierStats{
-					Name:          t.Name,
-					Loads:         t.Loads,
-					Hits:          t.Hits,
-					Errors:        t.Errors,
-					VersionMisses: t.VersionMisses,
-					Writes:        t.Writes,
-					WriteErrors:   t.WriteErrors,
-					LoadMsTotal:   float64(t.LoadNanos) / 1e6,
-				})
-			}
-			if t := fst.Remote; t != nil {
-				sec.Remote = &FabricRemoteStats{
-					Fetches:    t.Fetches,
-					Hedges:     t.Hedges,
-					HedgeWins:  t.HedgeWins,
-					Retries:    t.Retries,
-					Fallbacks:  t.Fallbacks,
-					FetchP50Ms: t.FetchP50Ms,
-					FetchP99Ms: t.FetchP99Ms,
-				}
-			}
-			resp.Fabric = sec
-		}
-	}
+	resp := statsResponse(s.mech.Name(), s.stats())
 	if s.ledger != nil {
 		st := s.ledger.Sessions().Stats()
 		resp.Sessions = &st
@@ -558,6 +462,62 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// statsResponse renders a mechanism snapshot as the mechanism's sections of
+// a /v1/stats body.
+func statsResponse(name string, st MechStats) StatsResponse {
+	resp := StatsResponse{Mechanism: name, Sampler: st.Sampler}
+	if c := st.Store; c != nil {
+		resp.ChannelCache = &ChannelCacheStats{
+			Hits:            c.Hits,
+			Misses:          c.Misses,
+			DiskHits:        c.BackingHits,
+			DiskWrites:      c.BackingWrites,
+			Entries:         c.Entries,
+			CostBytes:       c.Cost,
+			Evictions:       c.Evictions,
+			Abandoned:       c.Abandoned,
+			Canceled:        c.Canceled,
+			SolveQueueDepth: c.Queued,
+			SolveRejected:   c.Rejected,
+		}
+		if d := st.Dir; d != nil {
+			resp.ChannelCache.VersionMisses = d.VersionMisses
+			resp.ChannelCache.DiskErrors = d.Errors
+		}
+	}
+	if st.Local != nil && st.Local.RadiusKm > 0 {
+		resp.Local = st.Local
+	}
+	if f := st.Fabric; f != nil {
+		sec := &FabricStats{Self: f.Self, Peers: f.Peers}
+		for _, t := range f.Tiers {
+			sec.Tiers = append(sec.Tiers, FabricTierStats{
+				Name:          t.Name,
+				Loads:         t.Loads,
+				Hits:          t.Hits,
+				Errors:        t.Errors,
+				VersionMisses: t.VersionMisses,
+				Writes:        t.Writes,
+				WriteErrors:   t.WriteErrors,
+				LoadMsTotal:   float64(t.LoadNanos) / 1e6,
+			})
+		}
+		if t := f.Remote; t != nil {
+			sec.Remote = &FabricRemoteStats{
+				Fetches:    t.Fetches,
+				Hedges:     t.Hedges,
+				HedgeWins:  t.HedgeWins,
+				Retries:    t.Retries,
+				Fallbacks:  t.Fallbacks,
+				FetchP50Ms: t.FetchP50Ms,
+				FetchP99Ms: t.FetchP99Ms,
+			}
+		}
+		resp.Fabric = sec
+	}
+	return resp
 }
 
 // handleChannelSnapshot serves GET /v1/channels/{key}: the fleet-internal
@@ -667,7 +627,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	z, err := s.reportOne(ctx, x)
+	z, err := s.mech.ReportCtx(ctx, x)
 	if err != nil {
 		// A failed or canceled report revealed nothing, so it costs nothing.
 		if s.ledger != nil {
@@ -751,7 +711,7 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	zs, err := s.reportAll(ctx, xs)
+	zs, err := s.mech.ReportBatchCtx(ctx, xs)
 	if err != nil {
 		// All-or-nothing extends to cancellation: a batch that dies
 		// mid-flight released no sanitized locations, so the whole charge
@@ -777,39 +737,4 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Remaining = &rem
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// reportOne runs one report under ctx, preferring the mechanism's cancelable
-// path when it has one.
-func (s *Server) reportOne(ctx context.Context, x geo.Point) (geo.Point, error) {
-	if cr, ok := s.mech.(CtxReporter); ok {
-		return cr.ReportCtx(ctx, x)
-	}
-	if err := ctx.Err(); err != nil {
-		return geo.Point{}, err
-	}
-	return s.mech.Report(x)
-}
-
-// reportAll runs the mechanism over a validated batch under ctx, using the
-// pooled batch path when the mechanism provides one.
-func (s *Server) reportAll(ctx context.Context, xs []geo.Point) ([]geo.Point, error) {
-	if br, ok := s.mech.(CtxBatchReporter); ok {
-		return br.ReportBatchCtx(ctx, xs)
-	}
-	if br, ok := s.mech.(BatchReporter); ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return br.ReportBatch(xs)
-	}
-	zs := make([]geo.Point, len(xs))
-	for i, x := range xs {
-		z, err := s.reportOne(ctx, x)
-		if err != nil {
-			return nil, err
-		}
-		zs[i] = z
-	}
-	return zs, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
@@ -22,10 +23,18 @@ type plReporter struct {
 	mu sync.Mutex
 }
 
-func (p *plReporter) Report(x geo.Point) (geo.Point, error) {
+func (p *plReporter) ReportCtx(_ context.Context, x geo.Point) (geo.Point, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.m.Sample(x), nil
+}
+
+func (p *plReporter) ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.Point, error) {
+	out := make([]geo.Point, len(xs))
+	for i, x := range xs {
+		out[i], _ = p.ReportCtx(ctx, x)
+	}
+	return out, nil
 }
 func (p *plReporter) Epsilon() float64 { return p.m.Epsilon() }
 func (p *plReporter) Name() string     { return "PL" }
@@ -363,14 +372,14 @@ func TestServerWithoutLedger(t *testing.T) {
 }
 
 // batchCountingReporter wraps plReporter and counts pooled-batch calls so
-// tests can assert the handler prefers ReportBatch over a Report loop.
+// tests can assert the handler makes one batch call, not a per-point loop.
 type batchCountingReporter struct {
 	plReporter
 	batchCalls int
 	batchPts   int
 }
 
-func (b *batchCountingReporter) ReportBatch(xs []geo.Point) ([]geo.Point, error) {
+func (b *batchCountingReporter) ReportBatchCtx(_ context.Context, xs []geo.Point) ([]geo.Point, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.batchCalls++

@@ -17,17 +17,23 @@ type statsReporter struct {
 	st channel.Stats
 }
 
-func (s *statsReporter) StoreStats() channel.Stats { return s.st }
+func (s *statsReporter) MechStats() MechStats { return MechStats{Store: &s.st} }
 
 // dirStatsReporter additionally exposes persistent-cache counters, standing
-// in for a mechanism with a configured cache directory.
+// in for a mechanism with a configured cache directory (ok) or without one.
 type dirStatsReporter struct {
 	statsReporter
 	dst channel.DirStats
 	ok  bool
 }
 
-func (d *dirStatsReporter) DirCacheStats() (channel.DirStats, bool) { return d.dst, d.ok }
+func (d *dirStatsReporter) MechStats() MechStats {
+	st := d.statsReporter.MechStats()
+	if d.ok {
+		st.Dir = &d.dst
+	}
+	return st
+}
 
 func TestStatsEndpoint(t *testing.T) {
 	mech := &statsReporter{
@@ -55,7 +61,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	cc := resp.ChannelCache
 	if cc == nil {
-		t.Fatal("channel_cache missing for a StoreStatser mechanism")
+		t.Fatal("channel_cache missing for a mechanism with a store section")
 	}
 	if cc.Hits != 12 || cc.Misses != 3 || cc.DiskHits != 7 || cc.DiskWrites != 3 ||
 		cc.Entries != 3 || cc.CostBytes != 4096 || cc.Evictions != 1 {
@@ -143,11 +149,13 @@ type localStatsReporter struct {
 	local, fallback int64
 }
 
-func (l *localStatsReporter) LocalInfo() (radius, massFloor float64, localChannels, denseFallbacks int64) {
-	return l.radius, l.floor, l.local, l.fallback
+func (l *localStatsReporter) MechStats() MechStats {
+	return MechStats{Local: &LocalStats{
+		RadiusKm: l.radius, MassFloor: l.floor, LocalChannels: l.local, DenseFallbacks: l.fallback,
+	}}
 }
 
-// TestStatsEndpointLocalSection: a LocalStatser mechanism with the variant
+// TestStatsEndpointLocalSection: a mechanism with a local section with the variant
 // enabled surfaces the local solve and dense-fallback counters; with the
 // variant off (radius 0) the section is omitted entirely.
 func TestStatsEndpointLocalSection(t *testing.T) {
@@ -169,7 +177,7 @@ func TestStatsEndpointLocalSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.Local == nil {
-		t.Fatal("local section missing for an enabled LocalStatser mechanism")
+		t.Fatal("local section missing for a mechanism with the variant enabled")
 	}
 	if resp.Local.RadiusKm != 2.5 || resp.Local.MassFloor != 0.01 ||
 		resp.Local.LocalChannels != 20 || resp.Local.DenseFallbacks != 1 {

@@ -116,7 +116,7 @@ type serverReporter struct {
 	ctx context.Context
 }
 
-func (m serverReporter) Report(x geo.Point) (geo.Point, error) { return m.s.reportOne(m.ctx, x) }
+func (m serverReporter) Report(x geo.Point) (geo.Point, error) { return m.s.mech.ReportCtx(m.ctx, x) }
 func (m serverReporter) Epsilon() float64                      { return m.s.mech.Epsilon() }
 
 // handleTrace serves POST /v1/trace: one true location in, one released
@@ -232,7 +232,7 @@ func (s *Server) independentStep(ctx context.Context, tx *session.Tx, x geo.Poin
 	if err := tx.Spend(eps); err != nil {
 		return trajectory.Step{}, err
 	}
-	z, err := s.reportOne(ctx, x)
+	z, err := s.mech.ReportCtx(ctx, x)
 	if err != nil {
 		tx.Refund(eps)
 		return trajectory.Step{}, err

@@ -1,6 +1,7 @@
 package session_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -18,9 +19,12 @@ import (
 // does not depend on the mechanism.
 type identity struct{}
 
-func (identity) Report(x geo.Point) (geo.Point, error) { return x, nil }
-func (identity) Epsilon() float64                      { return 1 }
-func (identity) Name() string                          { return "identity" }
+func (identity) ReportCtx(_ context.Context, x geo.Point) (geo.Point, error) { return x, nil }
+func (identity) ReportBatchCtx(_ context.Context, xs []geo.Point) ([]geo.Point, error) {
+	return xs, nil
+}
+func (identity) Epsilon() float64 { return 1 }
+func (identity) Name() string     { return "identity" }
 
 // TestJournalFailClosedHTTP: once a journal write fails, every budget-
 // charging endpoint answers 503, readiness flips to 503, and the budget the

@@ -177,12 +177,12 @@ func TestWarmRestartLocalVariant(t *testing.T) {
 	if solves1 == 0 {
 		t.Fatal("local cold start performed no solves")
 	}
-	radius, floor, localCh, fallbacks := m1.LocalInfo()
-	if radius != 4 || floor != 0.05 {
-		t.Fatalf("LocalInfo config = (%g, %g), want (4, 0.05)", radius, floor)
+	local := m1.MechStats().Local
+	if local.RadiusKm != 4 || local.MassFloor != 0.05 {
+		t.Fatalf("local config = (%g, %g), want (4, 0.05)", local.RadiusKm, local.MassFloor)
 	}
-	if localCh == 0 || fallbacks != 0 {
-		t.Fatalf("cold start: %d local channels, %d dense fallbacks, want >0 and 0", localCh, fallbacks)
+	if local.LocalChannels == 0 || local.DenseFallbacks != 0 {
+		t.Fatalf("cold start: %d local channels, %d dense fallbacks, want >0 and 0", local.LocalChannels, local.DenseFallbacks)
 	}
 	seq1 := reportSequence(t, m1, 100)
 
@@ -200,8 +200,8 @@ func TestWarmRestartLocalVariant(t *testing.T) {
 	if st := m2.StoreStats(); st.BackingHits != int64(solves1) {
 		t.Fatalf("warm local restart loaded %d snapshots, want %d", st.BackingHits, solves1)
 	}
-	if _, _, lc, fb := m2.LocalInfo(); lc != 0 || fb != 0 {
-		t.Fatalf("warm restart counted %d local solves and %d fallbacks, want 0/0", lc, fb)
+	if local := m2.MechStats().Local; local.LocalChannels != 0 || local.DenseFallbacks != 0 {
+		t.Fatalf("warm restart counted %d local solves and %d fallbacks, want 0/0", local.LocalChannels, local.DenseFallbacks)
 	}
 	seq2 := reportSequence(t, m2, 100)
 	for i := range seq1 {
@@ -339,9 +339,9 @@ func TestWarmRestartFromV1Snapshots(t *testing.T) {
 	}
 	// The skew is observable as version misses, and is not miscounted as
 	// corruption.
-	dst, ok := m2.DirCacheStats()
-	if !ok {
-		t.Fatal("DirCacheStats: no backing reported despite CacheDir")
+	dst := m2.MechStats().Dir
+	if dst == nil {
+		t.Fatal("no dir-cache stats reported despite CacheDir")
 	}
 	if dst.VersionMisses != int64(solves1) || dst.Errors != 0 {
 		t.Fatalf("dir-cache counters after v1 restart: %+v, want %d version misses and 0 errors",

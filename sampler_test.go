@@ -34,8 +34,8 @@ func TestSamplerConfigValidation(t *testing.T) {
 
 // TestAliasSamplerReportsMatchDistribution smoke-checks the alias warm path
 // end to end at the facade: an alias-configured MSM (with pruning enabled)
-// precomputes, reports, and reports in batch without error, and SamplerInfo
-// reflects the configuration. Run under -race by the Makefile's focused pass.
+// precomputes, reports, and reports in batch without error, and the sampler
+// stats section reflects the configuration. Run under -race by the Makefile's focused pass.
 func TestAliasSamplerReportsMatchDistribution(t *testing.T) {
 	m, err := geoind.NewMSM(samplerTestConfig("alias", 0.1))
 	if err != nil {
@@ -44,11 +44,11 @@ func TestAliasSamplerReportsMatchDistribution(t *testing.T) {
 	if err := m.Precompute(); err != nil {
 		t.Fatal(err)
 	}
-	kind, mass, pruned, fallbacks := m.SamplerInfo()
-	if kind != "alias" || mass != 0.1 {
-		t.Fatalf("SamplerInfo = (%q, %g), want (alias, 0.1)", kind, mass)
+	sam := m.MechStats().Sampler
+	if sam.Kind != "alias" || sam.PruneMass != 0.1 {
+		t.Fatalf("sampler = (%q, %g), want (alias, 0.1)", sam.Kind, sam.PruneMass)
 	}
-	if pruned+fallbacks == 0 {
+	if sam.PrunedChannels+sam.PruneFallbacks == 0 {
 		t.Fatal("no channel was pruned or counted as a fallback")
 	}
 	reportSequence(t, m, 100)
