@@ -140,6 +140,33 @@ func TestMetricsExposeStoreCounters(t *testing.T) {
 	}
 }
 
+// TestMetricsConcurrentScrapes: concurrent scrapes each publish and render a
+// mechanism snapshot; every scrape must see the mechanism's counters.
+func TestMetricsConcurrentScrapes(t *testing.T) {
+	rep := &statsReporter{Reporter: newTestReporter(t, 0.5), st: channel.Stats{Hits: 7, Misses: 3}}
+	s, err := New(rep, nil, geo.NewSquare(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				if body := rec.Body.String(); !strings.Contains(body, "geoind_channel_cache_hits_total 7\n") ||
+					!strings.Contains(body, "geoind_channel_cache_misses_total 3\n") {
+					t.Errorf("scrape missing the store counters:\n%s", body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // overloadReporter fails every report with the admission-queue-full error,
 // wrapped the way the mechanism stack wraps it.
 type overloadReporter struct {
