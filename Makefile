@@ -69,7 +69,8 @@ experiments-check:
 	echo "experiments-check: $$(printf '%s\n' "$$rows" | wc -l) table rows match EXPERIMENTS.md"
 
 # Short native-fuzz pass over the two snapshot decode layers (the checksummed
-# frame in internal/channel and the channel payload codec in internal/opt).
+# frame in internal/channel and the channel payload codec in internal/opt),
+# the session journal and the server's request parser (against encoding/json).
 # A budgeted smoke run for CI — soak runs can raise -fuzztime freely; new
 # crashers land in testdata/fuzz and should be committed as regression seeds.
 fuzz-short:
@@ -78,6 +79,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzLocalRelevance -fuzztime 10s ./internal/opt
 	$(GO) test -run xxx -fuzz FuzzJournalRecord -fuzztime 10s ./internal/session
 	$(GO) test -run xxx -fuzz FuzzSessionSnapshot -fuzztime 10s ./internal/session
+	$(GO) test -run xxx -fuzz FuzzReportDecode -fuzztime 10s ./internal/server
 
 bench-smoke:
 	$(GO) test -run xxx -bench 'MSMReportParallel|AdaptiveReportParallel|ReportBatch/msm|ReportLoop/msm' -benchtime 50x .

@@ -39,6 +39,10 @@ type serverMetrics struct {
 	// scrape handler takes one snapshot before every render, so all
 	// mechanism series of one scrape agree.
 	mech atomic.Pointer[MechStats]
+	// sess is the session-store snapshot the current scrape renders, taken
+	// beside mech: one Stats call (which locks every shard) per scrape.
+	// Nil without a ledger.
+	sess atomic.Pointer[session.Stats]
 
 	budgetCharges *metrics.Counter
 	budgetRefunds *metrics.Counter
@@ -187,20 +191,22 @@ func newServerMetrics(s *Server) *serverMetrics {
 			dir(func(d *channel.DirStats) int64 { return d.Errors }))
 	}
 	if s.ledger != nil {
-		sess := s.ledger.Sessions()
+		st := s.ledger.Sessions().Stats()
+		m.sess.Store(&st)
+		sess := sample(m.sess.Load)
 		reg.GaugeFunc("geoind_sessions",
 			"Users with live session entries (idle entries are GCed).", nil,
-			func() float64 { return float64(sess.Stats().Users) })
+			sess(func(st *session.Stats) int64 { return int64(st.Users) }))
 		reg.CounterFunc("geoind_session_evictions_total",
 			"Idle session entries garbage-collected.", nil,
-			func() float64 { return float64(sess.Stats().Evicted) })
+			sess(func(st *session.Stats) int64 { return st.Evicted }))
 		reg.CounterFunc("geoind_session_memo_hits_total",
 			"Memo reads that found a previous release for the user.", nil,
-			func() float64 { return float64(sess.Stats().MemoHits) })
+			sess(func(st *session.Stats) int64 { return st.MemoHits }))
 		reg.CounterFunc("geoind_session_memo_writes_total",
 			"Releases memoized as session predictions.", nil,
-			func() float64 { return float64(sess.Stats().MemoWrites) })
-		journal := sample(func() *session.JournalStats { return sess.Stats().Journal })
+			sess(func(st *session.Stats) int64 { return st.MemoWrites }))
+		journal := sample(func() *session.JournalStats { return m.sess.Load().Journal })
 		reg.CounterFunc("geoind_session_journal_records_total",
 			"Session-state records appended to the durability journal.", nil,
 			journal(func(js *session.JournalStats) int64 { return js.Records }))
@@ -337,6 +343,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.stats()
 	s.metrics.mech.Store(&st)
+	if s.ledger != nil {
+		ss := s.ledger.Sessions().Stats()
+		s.metrics.sess.Store(&ss)
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.metrics.reg.WritePrometheus(w)
 }

@@ -75,7 +75,12 @@ const MaxBatchSize = 1024
 // Server is the HTTP sanitization service: it owns a mechanism, a per-user
 // budget ledger, and the region bounds used for input validation.
 type Server struct {
-	mech       Reporter
+	mech Reporter
+	// eps, name and nameJSON (name as a JSON string) are the mechanism's
+	// fixed epsilon and name, read once at New.
+	eps        float64
+	name       string
+	nameJSON   string
 	stats      func() MechStats // the mechanism's snapshot, empty without a Statser
 	ledger     *Ledger
 	region     geo.Rect
@@ -99,7 +104,12 @@ func New(mech Reporter, ledger *Ledger, region geo.Rect) (*Server, error) {
 		return nil, fmt.Errorf("server: ledger limit %g below per-report epsilon %g: no request could ever succeed",
 			ledger.Limit(), mech.Epsilon())
 	}
-	s := &Server{mech: mech, ledger: ledger, region: region, mux: http.NewServeMux()}
+	name := mech.Name()
+	nameJSON, _ := json.Marshal(name) // a string always marshals
+	s := &Server{
+		mech: mech, eps: mech.Epsilon(), name: name, nameJSON: string(nameJSON),
+		ledger: ledger, region: region, mux: http.NewServeMux(),
+	}
 	s.stats = func() MechStats { return MechStats{} }
 	if st, ok := mech.(Statser); ok {
 		s.stats = st.MechStats
@@ -430,8 +440,8 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := InfoResponse{
-		Mechanism:    s.mech.Name(),
-		Epsilon:      s.mech.Epsilon(),
+		Mechanism:    s.name,
+		Epsilon:      s.eps,
 		RegionSideKm: s.region.Width(),
 	}
 	if s.ledger != nil {
@@ -446,7 +456,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET only"})
 		return
 	}
-	resp := statsResponse(s.mech.Name(), s.stats())
+	resp := statsResponse(s.name, s.stats())
 	if s.ledger != nil {
 		st := s.ledger.Sessions().Stats()
 		resp.Sessions = &st
@@ -601,10 +611,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
 		return
 	}
+	c := getCodecBuf()
+	defer c.release()
 	var req ReportRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := c.decodeReport(w, r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"invalid JSON: " + err.Error()})
 		return
 	}
@@ -619,11 +629,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorResponse{msg})
 			return
 		}
-		if err := s.ledger.Spend(req.UserID, s.mech.Epsilon()); err != nil {
+		if err := s.ledger.Spend(req.UserID, s.eps); err != nil {
 			writeLedgerError(w, err)
 			return
 		}
-		s.metrics.chargeBudget(1, s.mech.Epsilon())
+		s.metrics.chargeBudget(1, s.eps)
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
@@ -631,19 +641,19 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A failed or canceled report revealed nothing, so it costs nothing.
 		if s.ledger != nil {
-			if s.ledger.Refund(req.UserID, s.mech.Epsilon()) == nil {
-				s.metrics.refundBudget(1, s.mech.Epsilon())
+			if s.ledger.Refund(req.UserID, s.eps) == nil {
+				s.metrics.refundBudget(1, s.eps)
 			}
 		}
 		writeReportError(w, err)
 		return
 	}
-	resp := ReportResponse{X: z.X, Y: z.Y, EpsSpent: s.mech.Epsilon(), Mechanism: s.mech.Name()}
-	if s.ledger != nil {
-		rem := s.ledger.Remaining(req.UserID)
-		resp.Remaining = &rem
+	if s.ledger == nil {
+		s.writeReport(w, c, z, nil)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	rem := s.ledger.Remaining(req.UserID)
+	s.writeReport(w, c, z, &rem)
 }
 
 // handleReportBatch sanitizes a JSON array of report requests in one round
@@ -657,10 +667,10 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
 		return
 	}
+	c := getCodecBuf()
+	defer c.release()
 	var reqs []ReportRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&reqs); err != nil {
+	if err := c.decodeBatch(w, r, &reqs); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"invalid JSON: " + err.Error()})
 		return
 	}
@@ -684,6 +694,7 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		xs[i] = x
 	}
 	user := reqs[0].UserID
+	cost := float64(len(reqs)) * s.eps
 	if s.ledger != nil {
 		if msg := userIDError(user); msg != "" {
 			writeJSON(w, http.StatusBadRequest, errorResponse{"entry 0: " + msg})
@@ -697,17 +708,17 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if err := s.ledger.Spend(user, float64(len(reqs))*s.mech.Epsilon()); err != nil {
+		if err := s.ledger.Spend(user, cost); err != nil {
 			if errors.Is(err, ErrBudgetExhausted) {
 				writeJSON(w, http.StatusTooManyRequests, errorResponse{fmt.Sprintf(
 					"batch cost %g exceeds remaining budget %g: %v (no budget was charged)",
-					float64(len(reqs))*s.mech.Epsilon(), s.ledger.Remaining(user), err)})
+					cost, s.ledger.Remaining(user), err)})
 				return
 			}
 			writeLedgerError(w, err)
 			return
 		}
-		s.metrics.chargeBudget(1, float64(len(reqs))*s.mech.Epsilon())
+		s.metrics.chargeBudget(1, cost)
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
@@ -717,24 +728,17 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		// mid-flight released no sanitized locations, so the whole charge
 		// comes back.
 		if s.ledger != nil {
-			if s.ledger.Refund(user, float64(len(reqs))*s.mech.Epsilon()) == nil {
-				s.metrics.refundBudget(1, float64(len(reqs))*s.mech.Epsilon())
+			if s.ledger.Refund(user, cost) == nil {
+				s.metrics.refundBudget(1, cost)
 			}
 		}
 		writeReportError(w, err)
 		return
 	}
-	resp := BatchReportResponse{
-		Results:   make([]BatchPoint, len(zs)),
-		EpsSpent:  float64(len(zs)) * s.mech.Epsilon(),
-		Mechanism: s.mech.Name(),
+	if s.ledger == nil {
+		s.writeBatch(w, c, zs, nil)
+		return
 	}
-	for i, z := range zs {
-		resp.Results[i] = BatchPoint{X: z.X, Y: z.Y}
-	}
-	if s.ledger != nil {
-		rem := s.ledger.Remaining(user)
-		resp.Remaining = &rem
-	}
-	writeJSON(w, http.StatusOK, resp)
+	rem := s.ledger.Remaining(user)
+	s.writeBatch(w, c, zs, &rem)
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -67,7 +66,7 @@ func (s *Server) EnableTrace(cfg TraceConfig) error {
 	if err := pcfg.Validate(); err != nil {
 		return fmt.Errorf("server: trace config: %w", err)
 	}
-	if worst := s.mech.Epsilon() + cfg.EpsTest; s.ledger.Limit() < worst {
+	if worst := s.eps + cfg.EpsTest; s.ledger.Limit() < worst {
 		return fmt.Errorf("server: ledger limit %g below worst-case trace step cost %g (eps + epsTest): no moving user could ever report",
 			s.ledger.Limit(), worst)
 	}
@@ -91,6 +90,12 @@ type TraceRequest struct {
 	// "independent" pays full epsilon for a fresh report (the baseline).
 	Mode string `json:"mode,omitempty"`
 }
+
+// The two values of TraceRequest.Mode.
+const (
+	modePredictive  = "predictive"
+	modeIndependent = "independent"
+)
 
 // TraceResponse is the /v1/trace response body.
 type TraceResponse struct {
@@ -117,7 +122,7 @@ type serverReporter struct {
 }
 
 func (m serverReporter) Report(x geo.Point) (geo.Point, error) { return m.s.mech.ReportCtx(m.ctx, x) }
-func (m serverReporter) Epsilon() float64                      { return m.s.mech.Epsilon() }
+func (m serverReporter) Epsilon() float64                      { return m.s.eps }
 
 // handleTrace serves POST /v1/trace: one true location in, one released
 // location out, with per-user sticky state (budget window + last release) in
@@ -141,10 +146,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			"trace endpoint disabled (start the server with -trace-theta)"})
 		return
 	}
+	c := getCodecBuf()
+	defer c.release()
 	var req TraceRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := c.decodeTrace(w, r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"invalid JSON: " + err.Error()})
 		return
 	}
@@ -160,9 +165,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	mode := req.Mode
 	if mode == "" {
-		mode = "predictive"
+		mode = modePredictive
 	}
-	if mode != "predictive" && mode != "independent" {
+	if mode != modePredictive && mode != modeIndependent {
 		writeJSON(w, http.StatusBadRequest, errorResponse{
 			fmt.Sprintf("unknown mode %q (want \"predictive\" or \"independent\")", req.Mode)})
 		return
@@ -178,7 +183,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			s.metrics.refundBudget(tx.Refunded())
 		}()
 		var err error
-		if mode == "independent" {
+		if mode == modeIndependent {
 			step, err = s.independentStep(ctx, tx, x)
 		} else {
 			step, err = s.predictiveStep(ctx, tx, ts, x)
@@ -199,17 +204,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case mode == "independent":
+	case mode == modeIndependent:
 		ts.independent.Add(1)
 	case step.Fresh:
 		ts.fresh.Add(1)
 	default:
 		ts.memoHits.Add(1)
 	}
-	writeJSON(w, http.StatusOK, TraceResponse{
-		X: step.Released.X, Y: step.Released.Y, EpsSpent: step.Spent,
-		Fresh: step.Fresh, Mode: mode, Remaining: remaining, Mechanism: s.mech.Name(),
-	})
+	s.writeTrace(w, c, step.Released, step.Spent, step.Fresh, mode, remaining)
 }
 
 // predictiveStep runs the test-then-release mechanism against the session's
@@ -228,7 +230,7 @@ func (s *Server) predictiveStep(ctx context.Context, tx *session.Tx, ts *traceSt
 // independentStep pays full epsilon for a fresh report, refunding it when
 // the report fails.
 func (s *Server) independentStep(ctx context.Context, tx *session.Tx, x geo.Point) (trajectory.Step, error) {
-	eps := s.mech.Epsilon()
+	eps := s.eps
 	if err := tx.Spend(eps); err != nil {
 		return trajectory.Step{}, err
 	}
