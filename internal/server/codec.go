@@ -93,7 +93,8 @@ func (c *codecBuf) decodeReport(w http.ResponseWriter, r *http.Request, req *Rep
 // in c until it is released.
 func (c *codecBuf) decodeBatch(w http.ResponseWriter, r *http.Request, reqs *[]ReportRequest) error {
 	err := c.readBody(w, r, batchBodyLimit)
-	if err == nil && c.parseBatch(reqs) {
+	if err == nil && c.parseBatch() {
+		*reqs = c.reqs
 		return nil
 	}
 	return fallback(c, err, reqs)
@@ -143,17 +144,12 @@ func parseTrace(b []byte, req *TraceRequest) bool {
 	return true
 }
 
-// parseBatch parses a batch body into the pooled c.reqs. An entry whose
+// parseBatch parses the batch body in c.b into c.reqs. An entry whose
 // user_id repeats the previous entry's shares its string.
-func (c *codecBuf) parseBatch(reqs *[]ReportRequest) bool {
+func (c *codecBuf) parseBatch() bool {
 	p := parser{b: c.b}
-	out := c.reqs[:0]
-	ok := p.lit('[') && (p.lit(']') || p.entries(&out)) && p.end()
-	c.reqs = out[:0]
-	if ok {
-		*reqs = out
-	}
-	return ok
+	c.reqs = c.reqs[:0]
+	return p.lit('[') && (p.lit(']') || p.entries(&c.reqs)) && p.end()
 }
 
 // entries consumes the entries of a non-empty batch and its closing ']'.

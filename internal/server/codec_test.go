@@ -74,9 +74,8 @@ func FuzzReportDecode(f *testing.F) {
 				t.Fatalf("trace %q: parsed %+v; encoding/json %+v, %v", body, tr, want, err)
 			}
 		}
-		c := &codecBuf{b: body}
-		var reqs []ReportRequest
-		if c.parseBatch(&reqs) {
+		if c := (codecBuf{b: body}); c.parseBatch() {
+			reqs := c.reqs
 			want, err := decodeJSON[[]ReportRequest](body)
 			if err != nil || len(reqs) != len(want) {
 				t.Fatalf("batch %q: parsed %+v; encoding/json %+v, %v", body, reqs, want, err)
@@ -127,6 +126,65 @@ func TestAppendFloatMatchesJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestResponsesMatchEncoder checks the appended 200 bodies against
+// json.Encoder over the response types, for random bit patterns (NaN and
+// Inf included) with and without a remaining budget.
+func TestResponsesMatchEncoder(t *testing.T) {
+	s, err := New(namedMech{name: "m\u00e9<&>\u2028"}, nil, geo.NewSquare(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	random := func() float64 { return math.Float64frombits(rng.Uint64()) }
+	encode := func(v any) string {
+		var b bytes.Buffer
+		_ = json.NewEncoder(&b).Encode(v)
+		return b.String()
+	}
+	check := func(what string, write func(http.ResponseWriter, *codecBuf), want string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		write(rec, &codecBuf{})
+		if got := rec.Body.String(); rec.Code != http.StatusOK || got != want {
+			t.Fatalf("%s: status %d, body\n got %q\nwant %q", what, rec.Code, got, want)
+		}
+	}
+	for i := range 2000 {
+		z, rem := geo.Point{X: random(), Y: random()}, random()
+		var remp *float64
+		if i%2 == 0 {
+			remp = &rem
+		}
+		check("report", func(w http.ResponseWriter, c *codecBuf) { s.writeReport(w, c, z, remp) },
+			encode(ReportResponse{X: z.X, Y: z.Y, EpsSpent: s.eps, Remaining: remp, Mechanism: s.name}))
+
+		zs := make([]geo.Point, i%4)
+		results := make([]BatchPoint, len(zs))
+		for j := range zs {
+			zs[j] = geo.Point{X: random(), Y: random()}
+			results[j] = BatchPoint{X: zs[j].X, Y: zs[j].Y}
+		}
+		check("batch", func(w http.ResponseWriter, c *codecBuf) { s.writeBatch(w, c, zs, remp) },
+			encode(BatchReportResponse{Results: results, EpsSpent: float64(len(zs)) * s.eps, Remaining: remp, Mechanism: s.name}))
+
+		spent, fresh, mode := random(), i%3 == 0, modePredictive
+		if i%5 == 0 {
+			mode = modeIndependent
+		}
+		check("trace", func(w http.ResponseWriter, c *codecBuf) { s.writeTrace(w, c, z, spent, fresh, mode, rem) },
+			encode(TraceResponse{X: z.X, Y: z.Y, EpsSpent: spent, Fresh: fresh, Mode: mode, Remaining: rem, Mechanism: s.name}))
+	}
+}
+
+// namedMech is allocMech under another name and epsilon.
+type namedMech struct {
+	allocMech
+	name string
+}
+
+func (m namedMech) Epsilon() float64 { return 0.7 }
+func (m namedMech) Name() string     { return m.name }
 
 // discardWriter is a ResponseWriter that allocates nothing per response.
 type discardWriter struct {
@@ -189,9 +247,11 @@ func TestHandlerAllocs(t *testing.T) {
 		if w.code != http.StatusOK {
 			t.Fatalf("%s: status %d", c.path, w.code)
 		}
-		if got := testing.AllocsPerRun(200, run); got > c.max {
+		got := testing.AllocsPerRun(200, run)
+		if got > c.max {
 			t.Errorf("%s: %.1f allocs per request, want <= %.0f", c.path, got, c.max)
 		}
+		t.Logf("%s: %.0f allocs per request", c.path, got)
 	}
 }
 

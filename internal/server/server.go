@@ -648,12 +648,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeReportError(w, err)
 		return
 	}
-	if s.ledger == nil {
-		s.writeReport(w, c, z, nil)
-		return
+	var rem *float64
+	if s.ledger != nil {
+		r := s.ledger.Remaining(req.UserID)
+		rem = &r
 	}
-	rem := s.ledger.Remaining(req.UserID)
-	s.writeReport(w, c, z, &rem)
+	s.writeReport(w, c, z, rem)
 }
 
 // handleReportBatch sanitizes a JSON array of report requests in one round
@@ -735,10 +735,10 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		writeReportError(w, err)
 		return
 	}
-	if s.ledger == nil {
-		s.writeBatch(w, c, zs, nil)
-		return
+	var rem *float64
+	if s.ledger != nil {
+		r := s.ledger.Remaining(user)
+		rem = &r
 	}
-	rem := s.ledger.Remaining(user)
-	s.writeBatch(w, c, zs, &rem)
+	s.writeBatch(w, c, zs, rem)
 }
