@@ -19,7 +19,7 @@ import (
 // escapes, and nothing but whitespace after the value. Every other body —
 // case-variant keys, escapes, null, duplicate keys, trailing data, a read
 // error, a body over the limit — is decoded by encoding/json with
-// DisallowUnknownFields over the same bytes, so it gets exactly the status
+// DisallowUnknownFields from the same bytes, so it gets exactly the status
 // and error text it always had. The fallback is the error path, not a
 // second implementation: FuzzReportDecode pins that whatever the parser
 // accepts, encoding/json accepts as the same value.
@@ -55,10 +55,14 @@ func (c *codecBuf) release() {
 	}
 }
 
-// readBody reads r's body into c.b and returns the error that ended the read
-// (nil at EOF). A body over limit is read again through http.MaxBytesReader,
-// so it fails with that reader's error and side effects.
-func (c *codecBuf) readBody(w http.ResponseWriter, r *http.Request, limit int) error {
+// readBody reads r's body into c.b and returns nil when c.b holds all of
+// it. A read that stops short — a read error, or more than limit bytes —
+// returns the reader the fallback decodes instead, which replays the body as
+// the decoder would have read it from the request: the bytes read, then the
+// read error or the rest of the body through http.MaxBytesReader, so an
+// over-limit body fails with that reader's error only if the decoder reads
+// past the limit.
+func (c *codecBuf) readBody(w http.ResponseWriter, r *http.Request, limit int) io.Reader {
 	b := c.b[:0]
 	for {
 		if len(b) == cap(b) {
@@ -66,62 +70,57 @@ func (c *codecBuf) readBody(w http.ResponseWriter, r *http.Request, limit int) e
 		}
 		n, err := r.Body.Read(b[len(b):min(cap(b), limit+1)])
 		b = b[:len(b)+n]
-		if len(b) > limit {
-			c.b, err = io.ReadAll(http.MaxBytesReader(w, io.NopCloser(io.MultiReader(bytes.NewReader(b), r.Body)), int64(limit)))
-			return err
-		}
-		if err != nil {
-			c.b = b
-			if err == io.EOF {
-				return nil
-			}
-			return err
+		c.b = b
+		switch {
+		case len(b) > limit:
+			return http.MaxBytesReader(w, io.NopCloser(io.MultiReader(bytes.NewReader(b), r.Body)), int64(limit))
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return io.MultiReader(bytes.NewReader(b), errReader{err})
 		}
 	}
 }
 
 // decodeReport reads and decodes a /v1/report body.
 func (c *codecBuf) decodeReport(w http.ResponseWriter, r *http.Request, req *ReportRequest) error {
-	err := c.readBody(w, r, reportBodyLimit)
-	if err == nil && parseReport(c.b, req) {
+	src := c.readBody(w, r, reportBodyLimit)
+	if src == nil && parseReport(c.b, req) {
 		return nil
 	}
-	return fallback(c, err, req)
+	return fallback(c, src, req)
 }
 
 // decodeBatch reads and decodes a /v1/report:batch body; the entries live
 // in c until it is released.
 func (c *codecBuf) decodeBatch(w http.ResponseWriter, r *http.Request, reqs *[]ReportRequest) error {
-	err := c.readBody(w, r, batchBodyLimit)
-	if err == nil && c.parseBatch() {
+	src := c.readBody(w, r, batchBodyLimit)
+	if src == nil && c.parseBatch() {
 		*reqs = c.reqs
 		return nil
 	}
-	return fallback(c, err, reqs)
+	return fallback(c, src, reqs)
 }
 
 // decodeTrace reads and decodes a /v1/trace body.
 func (c *codecBuf) decodeTrace(w http.ResponseWriter, r *http.Request, req *TraceRequest) error {
-	err := c.readBody(w, r, traceBodyLimit)
-	if err == nil && parseTrace(c.b, req) {
+	src := c.readBody(w, r, traceBodyLimit)
+	if src == nil && parseTrace(c.b, req) {
 		return nil
 	}
-	return fallback(c, err, req)
+	return fallback(c, src, req)
 }
 
-// fallback decodes a body the parser did not accept with encoding/json,
-// over the bytes read and then readErr, into v.
-func fallback[T any](c *codecBuf, readErr error, v *T) error {
-	var src io.Reader = bytes.NewReader(c.b)
-	if readErr != nil {
-		src = io.MultiReader(src, errReader{readErr})
+// fallback decodes a body the parser did not accept into v with
+// encoding/json, from src, or from c.b when readBody read all of it.
+func fallback[T any](c *codecBuf, src io.Reader, v *T) error {
+	if src == nil {
+		src = bytes.NewReader(c.b)
 	}
 	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
-	out := new(T)
-	err := dec.Decode(out)
-	*v = *out
-	return err
+	*v = *new(T) // drop what the parser filled in before it gave up
+	return dec.Decode(v)
 }
 
 // errReader replays the error that ended a body read.

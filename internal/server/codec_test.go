@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"geoind/internal/geo"
@@ -174,6 +177,36 @@ func TestResponsesMatchEncoder(t *testing.T) {
 		}
 		check("trace", func(w http.ResponseWriter, c *codecBuf) { s.writeTrace(w, c, z, spent, fresh, mode, rem) },
 			encode(TraceResponse{X: z.X, Y: z.Y, EpsSpent: spent, Fresh: fresh, Mode: mode, Remaining: rem, Mechanism: s.name}))
+	}
+}
+
+// TestDecodeShortReads covers bodies that arrive in pieces or whose read
+// fails: the read error is replayed after the bytes read, where the decoder
+// met it in the request body.
+func TestDecodeShortReads(t *testing.T) {
+	s, err := New(allocMech{}, nil, geo.NewSquare(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const body = `{"x":1.5,"y":2.25}`
+	const ok = "{\"x\":2,\"y\":2,\"eps_spent\":0.5,\"mechanism\":\"alloc\"}\n"
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		name   string
+		body   io.Reader
+		status int
+		want   string
+	}{
+		{"one byte per read", iotest.OneByteReader(strings.NewReader(body)), 200, ok},
+		{"error after the value", io.MultiReader(strings.NewReader(body), iotest.ErrReader(boom)), 200, ok},
+		{"error inside the value", io.MultiReader(strings.NewReader(body[:9]), iotest.ErrReader(boom)), 400,
+			"{\"error\":\"invalid JSON: boom\"}\n"},
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/report", c.body))
+		if rec.Code != c.status || rec.Body.String() != c.want {
+			t.Errorf("%s: status %d, body %q; want %d, %q", c.name, rec.Code, rec.Body, c.status, c.want)
+		}
 	}
 }
 
