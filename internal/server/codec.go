@@ -73,6 +73,11 @@ func (c *codecBuf) readBody(w http.ResponseWriter, r *http.Request, limit int) i
 		c.b = b
 		switch {
 		case len(b) > limit:
+			// Only net/http's own writer can mark the connection for close
+			// when the limit trips: unwrap the instrumentation's recorder.
+			if rec, ok := w.(*statusRecorder); ok {
+				w = rec.ResponseWriter
+			}
 			return http.MaxBytesReader(w, io.NopCloser(io.MultiReader(bytes.NewReader(b), r.Body)), int64(limit))
 		case err == io.EOF:
 			return nil

@@ -305,3 +305,29 @@ func (m allocMech) ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.Po
 
 func (allocMech) Epsilon() float64 { return 0.5 }
 func (allocMech) Name() string     { return "alloc" }
+
+// TestOverLimitBodyClosesConnection: a body over its endpoint's limit gets
+// its 400 with the connection marked for close, so net/http does not drain
+// the rest of the body to keep the connection alive.
+func TestOverLimitBodyClosesConnection(t *testing.T) {
+	_, ts := newTraceServer(t, 0.5, 10, TraceConfig{Theta: 4, EpsTest: 0.5})
+	for _, tc := range []struct {
+		path, open, end string
+		limit           int
+	}{
+		{"/v1/report", `{"user_id":"`, `"}`, reportBodyLimit},
+		{"/v1/report:batch", `[{"user_id":"`, `"}]`, batchBodyLimit},
+		{"/v1/trace", `{"user_id":"`, `"}`, traceBodyLimit},
+	} {
+		body := tc.open + strings.Repeat("a", tc.limit+4096) + tc.end
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !resp.Close {
+			t.Errorf("%s: status %d, Close %v; want 400 and a closed connection", tc.path, resp.StatusCode, resp.Close)
+		}
+	}
+}
