@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"geoind/internal/channel"
 	"geoind/internal/descent"
@@ -73,9 +72,10 @@ type Config struct {
 // Mechanism is the adaptive multi-step mechanism: the descent engine over a
 // tree grown by one of the package's builders (New or NewQuad). ReportCtx,
 // ReportBatchCtx, PrecomputeCtx and the rest of the descent come from the
-// embedded engine.
+// embedded engine, SamplerInfo from the embedded prune policy.
 type Mechanism struct {
 	*descent.Engine[*Node, *opt.PointChannel]
+	*descent.Pruner
 
 	cfg       Config
 	tree      *Tree
@@ -83,9 +83,6 @@ type Mechanism struct {
 	ns        string // channel-store namespace of the tree family
 	priorHash uint64
 	variant   uint64 // store-key variant; 0 means unset (dense)
-
-	prunedChannels atomic.Int64
-	pruneFallbacks atomic.Int64
 }
 
 // family is what tells the tree builders apart inside the one engine.
@@ -144,7 +141,7 @@ func newMechanism(cfg Config, seed uint64, fam family, build func(*prior.Prior) 
 	if err != nil {
 		return nil, err
 	}
-	m := &Mechanism{cfg: cfg, tree: tree, fine: fine, ns: fam.ns}
+	m := &Mechanism{Pruner: descent.NewPruner(cfg.Sampler, cfg.PruneMass), cfg: cfg, tree: tree, fine: fine, ns: fam.ns}
 	m.Engine = descent.New[*Node, *opt.PointChannel](treeIndex{m}, cfg.Region, cfg.Store, cfg.Workers, cfg.Sampler, nil,
 		seed, fam.salt, reportStreamSalt)
 	h := fam.hash
@@ -169,12 +166,6 @@ func (m *Mechanism) Tree() *Tree { return m.tree }
 // Epsilon returns the total budget. Quadtree paths that end early (sparse
 // areas) spend less; unspent budget only strengthens privacy.
 func (m *Mechanism) Epsilon() float64 { return m.cfg.Eps }
-
-// SamplerInfo reports the warm-path sampling configuration and the pruning
-// counters (channels compacted / dense fallbacks after a failed prune).
-func (m *Mechanism) SamplerInfo() (kind string, pruneMass float64, pruned, fallbacks int64) {
-	return m.cfg.Sampler.String(), m.cfg.PruneMass, m.prunedChannels.Load(), m.pruneFallbacks.Load()
-}
 
 // treeIndex is the tree as a descent.Partition.
 type treeIndex struct{ *Mechanism }
@@ -213,17 +204,7 @@ func (p treeIndex) Solve(ctx context.Context, n *Node) (*opt.PointChannel, error
 	if err != nil {
 		return nil, fmt.Errorf("adaptive: node %d: %w", n.ID(), err)
 	}
-	if p.cfg.PruneMass > 0 {
-		if pruned, perr := ch.Prune(p.cfg.PruneMass, masses); perr == nil {
-			ch = pruned
-			p.prunedChannels.Add(1)
-		} else {
-			// Keep dense: the verifier gate inside Prune rejected the
-			// compact form, and pruning is never a correctness dependency.
-			p.pruneFallbacks.Add(1)
-		}
-	}
-	return ch, nil
+	return descent.Prune(p.Pruner, ch, masses), nil
 }
 
 // MeanLeafSide returns the prior-mass-weighted average leaf cell side

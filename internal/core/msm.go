@@ -154,9 +154,11 @@ const reportStreamSalt = 0x6a09e667f3bcc909
 
 // Mechanism is a ready-to-use multi-step mechanism: the descent engine over
 // the GIHI this package builds. ReportCtx, ReportBatchCtx, PrecomputeCtx and
-// the rest of the descent come from the embedded engine.
+// the rest of the descent come from the embedded engine, SamplerInfo from
+// the embedded prune policy.
 type Mechanism struct {
 	*descent.Engine[cell, *opt.Channel]
+	*descent.Pruner
 
 	cfg       Config
 	alloc     budget.Allocation
@@ -166,8 +168,6 @@ type Mechanism struct {
 	variant   uint64 // store-key variant; 0 means unset (exact, dense)
 	levelOff  []int  // start of each level's cells among the inner nodes; the last entry is their count
 
-	prunedChannels atomic.Int64 // solves whose channel was compacted
-	pruneFallbacks atomic.Int64 // solves kept dense after a failed prune
 	localChannels  atomic.Int64 // solves done over a locally relevant domain
 	localFallbacks atomic.Int64 // local builds that fell back to a dense solve
 }
@@ -271,7 +271,7 @@ func New(cfg Config, seed uint64) (*Mechanism, error) {
 		leaf = prior.Uniform(leafGrid)
 	}
 
-	m := &Mechanism{cfg: cfg, alloc: alloc, hier: hier, leafPrior: leaf}
+	m := &Mechanism{Pruner: descent.NewPruner(cfg.Sampler, cfg.PruneMass), cfg: cfg, alloc: alloc, hier: hier, leafPrior: leaf}
 	m.Engine = descent.New[cell, *opt.Channel](gihi{m}, cfg.Region, cfg.Store, cfg.Workers, cfg.Sampler, cfg.Owns,
 		seed, 0x9e3779b97f4a7c15, reportStreamSalt)
 	m.levelOff = make([]int, alloc.Height()+1)
@@ -336,13 +336,6 @@ func (m *Mechanism) Hierarchy() *grid.Hierarchy { return m.hier }
 
 // Epsilon returns the total privacy budget.
 func (m *Mechanism) Epsilon() float64 { return m.cfg.Eps }
-
-// SamplerInfo reports the warm-path sampling configuration and the pruning
-// counters: how many solved channels were compacted and how many fell back
-// to dense after failing the post-prune GeoInd verification.
-func (m *Mechanism) SamplerInfo() (kind string, pruneMass float64, pruned, fallbacks int64) {
-	return m.cfg.Sampler.String(), m.cfg.PruneMass, m.prunedChannels.Load(), m.pruneFallbacks.Load()
-}
 
 // LocalInfo reports the locally relevant OPT configuration and its solve
 // counters: channels solved over a reduced domain, and local builds whose
@@ -538,16 +531,5 @@ func (p gihi) Solve(ctx context.Context, c cell) (*opt.Channel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("msm: level %d cell %d: %w", c.level+1, c.idx(), err)
 	}
-	if m.cfg.PruneMass > 0 {
-		if pruned, perr := ch.Prune(m.cfg.PruneMass, pw); perr == nil {
-			ch = pruned
-			m.prunedChannels.Add(1)
-		} else {
-			// Keep the dense channel: pruning is an optimization, never a
-			// correctness dependency. The verifier gate inside Prune already
-			// rejected the compact form, so dense is the only safe answer.
-			m.pruneFallbacks.Add(1)
-		}
-	}
-	return ch, nil
+	return descent.Prune(m.Pruner, ch, pw), nil
 }

@@ -105,6 +105,47 @@ func LPOptions(base *lp.IPMOptions, workers int) *lp.IPMOptions {
 	return &o
 }
 
+// Pruner is a mechanism's warm-path sampling policy: its sampler kind and
+// the prune mass each fresh solve is compacted with, and the outcome counts.
+// Mechanisms embed one for its SamplerInfo.
+type Pruner struct {
+	kind      opt.SamplerKind
+	mass      float64
+	pruned    atomic.Int64 // solves whose channel was compacted
+	fallbacks atomic.Int64 // solves kept dense after a failed prune
+}
+
+// NewPruner returns the policy for sampler kind and prune mass (0: off).
+func NewPruner(kind opt.SamplerKind, mass float64) *Pruner {
+	return &Pruner{kind: kind, mass: mass}
+}
+
+// SamplerInfo reports the sampler kind, the prune mass and how many solved
+// channels were compacted or kept dense after failing the post-prune GeoInd
+// verification.
+func (p *Pruner) SamplerInfo() (kind string, pruneMass float64, pruned, fallbacks int64) {
+	return p.kind.String(), p.mass, p.pruned.Load(), p.fallbacks.Load()
+}
+
+// Prune compacts a freshly solved ch under prior weights w when the policy
+// prunes, and returns ch itself otherwise. A prune the verifier gate inside
+// ch.Prune rejects keeps the dense channel: pruning is an optimization,
+// never a correctness dependency.
+func Prune[C interface {
+	Prune(mass float64, w []float64) (C, error)
+}](p *Pruner, ch C, w []float64) C {
+	if p.mass <= 0 {
+		return ch
+	}
+	pruned, err := ch.Prune(p.mass, w)
+	if err != nil {
+		p.fallbacks.Add(1)
+		return ch
+	}
+	p.pruned.Add(1)
+	return pruned
+}
+
 // Store returns the channel store (an injected one is shared).
 func (e *Engine[N, C]) Store() *channel.Store { return e.store }
 
