@@ -105,26 +105,18 @@ func NewAdaptiveMSM(cfg AdaptiveMSMConfig) (*AdaptiveMSM, error) {
 	return &AdaptiveMSM{m: m}, nil
 }
 
-// Report implements Mechanism.
-func (a *AdaptiveMSM) Report(x Point) (Point, error) { return a.m.ReportCtx(context.Background(), x) }
-
-// ReportCtx implements MechanismCtx: canceling ctx aborts an in-flight cold
+// ReportCtx implements Mechanism: canceling ctx aborts an in-flight cold
 // report promptly (abandoning shared node solves, not killing them while
 // other waiters remain).
 func (a *AdaptiveMSM) ReportCtx(ctx context.Context, x Point) (Point, error) {
 	return a.m.ReportCtx(ctx, x)
 }
 
-// ReportBatch implements BatchMechanism: the batch acquires the sampling
+// ReportBatchCtx implements Mechanism: the batch acquires the sampling
 // stream once and, with Workers > 1, fans the tree descents across the
 // worker pool. Results come back in input order, identical to a sequential
-// Report loop for the same seed and arrival order at any worker count.
-func (a *AdaptiveMSM) ReportBatch(points []Point) ([]Point, error) {
-	return a.m.ReportBatchCtx(context.Background(), points)
-}
-
-// ReportBatchCtx implements BatchMechanismCtx: a cancel drains the pooled
-// fan-out promptly and returns ctx.Err().
+// ReportCtx loop for the same seed and arrival order at any worker count; a
+// cancel drains the fan-out promptly and returns ctx.Err().
 func (a *AdaptiveMSM) ReportBatchCtx(ctx context.Context, points []Point) ([]Point, error) {
 	return a.m.ReportBatchCtx(ctx, points)
 }
@@ -163,9 +155,6 @@ func (a *AdaptiveMSM) MechStats() server.MechStats { return storeMechStats(a.m) 
 func (a *AdaptiveMSM) FlushCache() { a.m.Store().Sync() }
 
 var (
-	_ Mechanism         = (*AdaptiveMSM)(nil)
-	_ BatchMechanism    = (*AdaptiveMSM)(nil)
-	_ MechanismCtx      = (*AdaptiveMSM)(nil)
-	_ BatchMechanismCtx = (*AdaptiveMSM)(nil)
-	_ server.Statser    = (*AdaptiveMSM)(nil)
+	_ Mechanism      = (*AdaptiveMSM)(nil)
+	_ server.Statser = (*AdaptiveMSM)(nil)
 )

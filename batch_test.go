@@ -1,12 +1,13 @@
 package geoind_test
 
-// Batch-path contract tests. The contract (see BatchMechanism): at
-// Workers <= 1 a batch is bit-identical to calling Report in a loop on an
-// identically seeded mechanism; at Workers > 1 the output is deterministic in
-// input (arrival) order — independent of the worker count, and equal to a
-// sequential Report loop in the same order.
+// Batch-path contract tests. The contract (see Mechanism): at Workers <= 1
+// a batch is bit-identical to calling ReportCtx in a loop on an identically
+// seeded mechanism; at Workers > 1 the output is deterministic in input
+// (arrival) order — independent of the worker count, and equal to a
+// sequential ReportCtx loop in the same order.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -48,12 +49,12 @@ func mkAdaptive(t testing.TB, workers int) *geoind.AdaptiveMSM {
 	return m
 }
 
-// reportLoop calls Report once per point, in order.
+// reportLoop calls ReportCtx once per point, in order.
 func reportLoop(t *testing.T, m geoind.Mechanism, pts []geoind.Point) []geoind.Point {
 	t.Helper()
 	out := make([]geoind.Point, len(pts))
 	for i, x := range pts {
-		z, err := m.Report(x)
+		z, err := m.ReportCtx(context.Background(), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,26 +76,26 @@ func assertSamePoints(t *testing.T, name string, got, want []geoind.Point) {
 }
 
 // TestReportBatchBitIdenticalSequential verifies that at Workers=1 every
-// mechanism's ReportBatch is bit-identical to a Report loop on an identically
-// seeded twin.
+// mechanism's ReportBatchCtx is bit-identical to a ReportCtx loop on an
+// identically seeded twin.
 func TestReportBatchBitIdenticalSequential(t *testing.T) {
 	ds := geoind.GowallaSynthetic()
 	pts := batchTestPoints(64)
 
 	mechs := []struct {
 		name string
-		mk   func() geoind.BatchMechanism
+		mk   func() geoind.Mechanism
 	}{
-		{"msm", func() geoind.BatchMechanism { return mkMSM(t, 1) }},
-		{"adaptive", func() geoind.BatchMechanism { return mkAdaptive(t, 1) }},
-		{"pl", func() geoind.BatchMechanism {
+		{"msm", func() geoind.Mechanism { return mkMSM(t, 1) }},
+		{"adaptive", func() geoind.Mechanism { return mkAdaptive(t, 1) }},
+		{"pl", func() geoind.Mechanism {
 			m, err := geoind.NewPlanarLaplace(geoind.LaplaceConfig{Eps: 0.5, Seed: 42})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m
 		}},
-		{"pl+remap", func() geoind.BatchMechanism {
+		{"pl+remap", func() geoind.Mechanism {
 			m, err := geoind.NewPlanarLaplace(geoind.LaplaceConfig{
 				Eps: 0.5, Seed: 42, Remap: true, Region: ds.Region(), Granularity: 8,
 			})
@@ -103,7 +104,7 @@ func TestReportBatchBitIdenticalSequential(t *testing.T) {
 			}
 			return m
 		}},
-		{"opt", func() geoind.BatchMechanism {
+		{"opt", func() geoind.Mechanism {
 			m, err := geoind.NewOptimal(geoind.OptimalConfig{
 				Eps: 0.5, Region: ds.Region(), Granularity: 4,
 				PriorPoints: ds.Points(), Seed: 42, Workers: 1,
@@ -117,7 +118,7 @@ func TestReportBatchBitIdenticalSequential(t *testing.T) {
 	for _, tc := range mechs {
 		t.Run(tc.name, func(t *testing.T) {
 			loop := reportLoop(t, tc.mk(), pts)
-			batch, err := tc.mk().ReportBatch(pts)
+			batch, err := tc.mk().ReportBatchCtx(context.Background(), pts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +129,7 @@ func TestReportBatchBitIdenticalSequential(t *testing.T) {
 
 // TestReportBatchOrderDeterministicParallel verifies the Workers>1 contract:
 // the batch output depends only on seed and input order, not on the worker
-// count — and matches a sequential Report loop in the same arrival order,
+// count — and matches a sequential ReportCtx loop in the same arrival order,
 // because the batch reserves the same per-query stream indices the loop
 // would consume.
 func TestReportBatchOrderDeterministicParallel(t *testing.T) {
@@ -138,11 +139,11 @@ func TestReportBatchOrderDeterministicParallel(t *testing.T) {
 	// a single-core host -1 resolves to 1, which is the sequential shared-RNG
 	// mode — a different (equally deterministic) output stream by design.
 	t.Run("msm", func(t *testing.T) {
-		b2, err := mkMSM(t, 2).ReportBatch(pts)
+		b2, err := mkMSM(t, 2).ReportBatchCtx(context.Background(), pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b8, err := mkMSM(t, 8).ReportBatch(pts)
+		b8, err := mkMSM(t, 8).ReportBatchCtx(context.Background(), pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +153,11 @@ func TestReportBatchOrderDeterministicParallel(t *testing.T) {
 	})
 
 	t.Run("adaptive", func(t *testing.T) {
-		b2, err := mkAdaptive(t, 2).ReportBatch(pts)
+		b2, err := mkAdaptive(t, 2).ReportBatchCtx(context.Background(), pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b8, err := mkAdaptive(t, 8).ReportBatch(pts)
+		b8, err := mkAdaptive(t, 8).ReportBatchCtx(context.Background(), pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,11 +178,11 @@ func TestReportBatchOrderDeterministicParallel(t *testing.T) {
 			}
 			return m
 		}
-		b2, err := mk(2).ReportBatch(pts)
+		b2, err := mk(2).ReportBatchCtx(context.Background(), pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b8, err := mk(8).ReportBatch(pts)
+		b8, err := mk(8).ReportBatchCtx(context.Background(), pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,33 +190,15 @@ func TestReportBatchOrderDeterministicParallel(t *testing.T) {
 	})
 }
 
-// TestReportBatchEdgeCases covers the empty batch and the generic helper's
-// fallback for mechanisms without a pooled path.
+// TestReportBatchEdgeCases covers the empty batch.
 func TestReportBatchEdgeCases(t *testing.T) {
 	m := mkMSM(t, -1)
-	out, err := m.ReportBatch(nil)
+	out, err := m.ReportBatchCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 0 {
 		t.Errorf("empty batch returned %d results", len(out))
-	}
-
-	// The package-level helper routes BatchMechanisms to the pooled path and
-	// loops otherwise; both must agree on count and region membership.
-	ds := geoind.GowallaSynthetic()
-	pts := batchTestPoints(16)
-	zs, err := geoind.ReportBatch(m, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(zs) != len(pts) {
-		t.Fatalf("helper returned %d results, want %d", len(zs), len(pts))
-	}
-	for i, z := range zs {
-		if !ds.Region().ContainsClosed(z) {
-			t.Errorf("result %d (%v) outside region", i, z)
-		}
 	}
 }
 
@@ -234,7 +217,7 @@ func TestBudgetedReportBatchAllOrNothing(t *testing.T) {
 	pts := batchTestPoints(3)
 
 	// Cost 1.5 fits in 2.0.
-	zs, err := b.ReportBatch("alice", pts)
+	zs, err := b.ReportBatchCtx(context.Background(), "alice", pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +229,7 @@ func TestBudgetedReportBatchAllOrNothing(t *testing.T) {
 	}
 
 	// Second batch would cost another 1.5 > 0.5: rejected, ledger unchanged.
-	if _, err := b.ReportBatch("alice", pts); err != geoind.ErrBudgetExhausted {
+	if _, err := b.ReportBatchCtx(context.Background(), "alice", pts); err != geoind.ErrBudgetExhausted {
 		t.Fatalf("got %v want ErrBudgetExhausted", err)
 	}
 	if r := b.Remaining("alice"); r != 0.5 {
@@ -254,7 +237,7 @@ func TestBudgetedReportBatchAllOrNothing(t *testing.T) {
 	}
 
 	// Empty batch is free.
-	if _, err := b.ReportBatch("alice", nil); err != nil {
+	if _, err := b.ReportBatchCtx(context.Background(), "alice", nil); err != nil {
 		t.Fatal(err)
 	}
 	if r := b.Remaining("alice"); r != 0.5 {

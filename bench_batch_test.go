@@ -1,14 +1,15 @@
 package geoind_test
 
 // Batch-path benchmarks. Each BenchmarkReportBatch op is ONE batch of n
-// points through ReportBatch; each BenchmarkReportLoop op is the same n
-// points through n sequential Report calls on an identically configured
+// points through ReportBatchCtx; each BenchmarkReportLoop op is the same n
+// points through n sequential ReportCtx calls on an identically configured
 // mechanism — the baseline the batch path amortizes. Compare ns/op at equal
 // mechanism/n/w to read the batching speedup directly; ns/op divided by n is
 // the per-report cost. w=1 is the sequential shared-RNG mode, w=all uses the
 // full worker pool (per-query PCG streams + fan-out).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -29,7 +30,7 @@ var batchWorkerModes = []struct {
 
 // benchBatchMechanism builds the warm mechanism under test for one
 // (mechanism, workers) cell.
-func benchBatchMechanism(b *testing.B, mech string, workers int) geoind.BatchMechanism {
+func benchBatchMechanism(b *testing.B, mech string, workers int) geoind.Mechanism {
 	b.Helper()
 	ds := geoind.GowallaSynthetic()
 	switch mech {
@@ -92,7 +93,7 @@ func benchMechs() []struct {
 	return out
 }
 
-// BenchmarkReportBatch measures one ReportBatch call per op across
+// BenchmarkReportBatch measures one ReportBatchCtx call per op across
 // mechanisms × batch sizes {1,16,256} × workers {1, all}.
 func BenchmarkReportBatch(b *testing.B) {
 	ds := geoind.GowallaSynthetic()
@@ -105,7 +106,7 @@ func BenchmarkReportBatch(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := m.ReportBatch(pts); err != nil {
+						if _, err := m.ReportBatchCtx(context.Background(), pts); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -116,7 +117,7 @@ func BenchmarkReportBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkReportLoop is the sequential baseline: n Report calls per op on
+// BenchmarkReportLoop is the sequential baseline: n ReportCtx calls per op on
 // the same mechanism configurations.
 func BenchmarkReportLoop(b *testing.B) {
 	ds := geoind.GowallaSynthetic()
@@ -130,7 +131,7 @@ func BenchmarkReportLoop(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						for _, x := range pts {
-							if _, err := m.Report(x); err != nil {
+							if _, err := m.ReportCtx(context.Background(), x); err != nil {
 								b.Fatal(err)
 							}
 						}

@@ -8,6 +8,7 @@ package geoind_test
 // bit-identical for every worker count, so these only trade wall time.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -51,7 +52,7 @@ func BenchmarkMSMReportParallel(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					if _, err := m.Report(reqs[i%len(reqs)]); err != nil {
+					if _, err := m.ReportCtx(context.Background(), reqs[i%len(reqs)]); err != nil {
 						b.Fatal(err)
 					}
 					i++
@@ -80,7 +81,7 @@ func BenchmarkAdaptiveReportParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := m.Report(reqs[i%len(reqs)]); err != nil {
+			if _, err := m.ReportCtx(context.Background(), reqs[i%len(reqs)]); err != nil {
 				b.Fatal(err)
 			}
 			i++

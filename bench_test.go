@@ -11,6 +11,7 @@ package geoind_test
 //	go run ./cmd/experiments all
 
 import (
+	"context"
 	"testing"
 
 	"geoind"
@@ -177,7 +178,7 @@ func BenchmarkMechanismLatency(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pl.Report(reqs[i%len(reqs)]); err != nil {
+			if _, err := pl.ReportCtx(context.Background(), reqs[i%len(reqs)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -196,7 +197,7 @@ func BenchmarkMechanismLatency(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Report(reqs[i%len(reqs)]); err != nil {
+			if _, err := m.ReportCtx(context.Background(), reqs[i%len(reqs)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -213,7 +214,7 @@ func BenchmarkMechanismLatency(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := m.Report(reqs[i%len(reqs)]); err != nil {
+			if _, err := m.ReportCtx(context.Background(), reqs[i%len(reqs)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -229,7 +230,7 @@ func BenchmarkMechanismLatency(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := o.Report(reqs[i%len(reqs)]); err != nil {
+			if _, err := o.ReportCtx(context.Background(), reqs[i%len(reqs)]); err != nil {
 				b.Fatal(err)
 			}
 		}

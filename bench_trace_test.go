@@ -15,6 +15,7 @@ package geoind_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -140,13 +141,13 @@ func BenchmarkTracePredictiveSavings(b *testing.B) {
 		indRuns := make([][]geoind.TraceStep, 0, len(traces))
 		predRuns := make([][]geoind.TraceStep, 0, len(traces))
 		for ti, pts := range traces {
-			steps, sum, err := geoind.ReportTrace(indMech, pts)
+			steps, sum, err := geoind.ReportTrace(context.Background(), indMech, pts)
 			if err != nil {
 				b.Fatal(err)
 			}
 			indSpent += sum.TotalSpent
 			indRuns = append(indRuns, steps)
-			psteps, psum, err := geoind.ReportTracePredictive(predMech, pts,
+			psteps, psum, err := geoind.ReportTracePredictive(context.Background(), predMech, pts,
 				geoind.PredictiveConfig{Theta: benchTraceTheta, EpsTest: benchTraceEpsTest},
 				uint64(3000+100*i+ti))
 			if err != nil {

@@ -10,7 +10,7 @@ import (
 	"geoind/internal/session"
 )
 
-// ErrBudgetExhausted is returned by Budgeted.Report when a user's window
+// ErrBudgetExhausted is returned by Budgeted.ReportCtx when a user's window
 // budget cannot cover another report.
 var ErrBudgetExhausted = server.ErrBudgetExhausted
 
@@ -26,25 +26,17 @@ type Budgeted struct {
 }
 
 // NewBudgeted wraps mech so each user may spend at most limit epsilon per
-// window. limit must cover at least one report.
+// window, keeping the accounting in memory. limit must cover at least one
+// report.
 func NewBudgeted(mech Mechanism, limit float64, window time.Duration) (*Budgeted, error) {
-	if mech == nil {
-		return nil, fmt.Errorf("geoind: nil mechanism")
-	}
-	if limit < mech.Epsilon() {
-		return nil, fmt.Errorf("geoind: budget limit %g below per-report epsilon %g", limit, mech.Epsilon())
-	}
-	l, err := server.NewLedger(limit, window, nil)
-	if err != nil {
-		return nil, fmt.Errorf("geoind: %w", err)
-	}
-	return &Budgeted{mech: mech, ledger: l}, nil
+	return NewBudgetedDurable(mech, limit, window, "")
 }
 
 // NewBudgetedDurable is NewBudgeted with crash-safe accounting: per-user
 // state is journaled to dir (append-only log plus periodic snapshots) and
 // replayed on the next open, so a process crash cannot reset anyone's spend.
-// Call Close when done to flush and compact the journal.
+// Call Close when done to flush and compact the journal. An empty dir keeps
+// the accounting in memory, as NewBudgeted does.
 func NewBudgetedDurable(mech Mechanism, limit float64, window time.Duration, dir string) (*Budgeted, error) {
 	if mech == nil {
 		return nil, fmt.Errorf("geoind: nil mechanism")
@@ -69,17 +61,12 @@ func NewBudgetedDurable(mech Mechanism, limit float64, window time.Duration, dir
 // memory-only instances.
 func (b *Budgeted) Close() error { return b.ledger.Sessions().Close() }
 
-// Report sanitizes x on behalf of user, debiting the per-report epsilon from
-// the user's window budget. It returns ErrBudgetExhausted (without reporting
-// anything) when the budget cannot cover the report. Budget is charged only
-// on success: a report that fails reveals nothing, so its charge is refunded.
-func (b *Budgeted) Report(user string, x Point) (Point, error) {
-	return b.ReportCtx(context.Background(), user, x)
-}
-
-// ReportCtx is Report under a context: canceling ctx makes an in-flight cold
-// report return promptly with ctx.Err(), and the charge is refunded — a
-// canceled report reveals no location, so it must not consume budget.
+// ReportCtx sanitizes x on behalf of user, debiting the per-report epsilon
+// from the user's window budget. It returns ErrBudgetExhausted (without
+// reporting anything) when the budget cannot cover the report. Budget is
+// charged only on success: a report that fails reveals nothing, so its
+// charge is refunded. Canceling ctx makes an in-flight cold report return
+// promptly with ctx.Err(), refunded likewise.
 //
 // The ledger is debited before sampling (not after) so that concurrent
 // requests from one user can never jointly exceed the cap through a
@@ -90,7 +77,7 @@ func (b *Budgeted) ReportCtx(ctx context.Context, user string, x Point) (Point, 
 	if err := b.ledger.Spend(user, eps); err != nil {
 		return Point{}, err
 	}
-	z, err := reportCtx(ctx, b.mech, x)
+	z, err := b.mech.ReportCtx(ctx, x)
 	if err != nil {
 		b.ledger.Refund(user, eps)
 		return Point{}, err
@@ -98,22 +85,15 @@ func (b *Budgeted) ReportCtx(ctx context.Context, user string, x Point) (Point, 
 	return z, nil
 }
 
-// ReportBatch sanitizes a batch of points on behalf of user, debiting
+// ReportBatchCtx sanitizes a batch of points on behalf of user, debiting
 // len(points) * Epsilon() from the user's window budget atomically: either
 // the whole batch is charged and reported, or the error is returned and the
-// ledger is left unchanged — a batch can never be partially charged, and a
-// batch that fails (or is canceled mid-flight) leaves the budget untouched.
-// This is the client-side counterpart of the server's POST /v1/report:batch
-// all-or-nothing rule.
-func (b *Budgeted) ReportBatch(user string, points []Point) ([]Point, error) {
-	return b.ReportBatchCtx(context.Background(), user, points)
-}
-
-// ReportBatchCtx is ReportBatch under a context. A batch canceled mid-flight
-// returns ctx.Err() with the user's budget unchanged: no sanitized location
-// left the mechanism, so nothing was revealed and nothing is charged. The
+// ledger is left unchanged — a batch can never be partially charged. The
 // charge is taken upfront (atomic no-overdraft check) and refunded in full
-// on any failure.
+// on any failure: a batch canceled mid-flight returns ctx.Err() with the
+// budget unchanged, since no sanitized location left the mechanism. This is
+// the client-side counterpart of the server's POST /v1/report:batch
+// all-or-nothing rule.
 func (b *Budgeted) ReportBatchCtx(ctx context.Context, user string, points []Point) ([]Point, error) {
 	if len(points) == 0 {
 		return []Point{}, nil
@@ -122,24 +102,12 @@ func (b *Budgeted) ReportBatchCtx(ctx context.Context, user string, points []Poi
 	if err := b.ledger.Spend(user, total); err != nil {
 		return nil, err
 	}
-	out, err := ReportBatchCtx(ctx, b.mech, points)
+	out, err := b.mech.ReportBatchCtx(ctx, points)
 	if err != nil {
 		b.ledger.Refund(user, total)
 		return nil, err
 	}
 	return out, nil
-}
-
-// reportCtx dispatches one report through the mechanism's ctx-aware path
-// when it has one.
-func reportCtx(ctx context.Context, m Mechanism, x Point) (Point, error) {
-	if mc, ok := m.(MechanismCtx); ok {
-		return mc.ReportCtx(ctx, x)
-	}
-	if err := ctx.Err(); err != nil {
-		return Point{}, err
-	}
-	return m.Report(x)
 }
 
 // Remaining returns the user's unspent budget in the current window.

@@ -133,13 +133,7 @@ func realMain(ctx context.Context, mechName string, eps float64, g int, rho, sid
 		if _, err := fmt.Sscanf(strings.TrimSpace(line), "%f %f", &x.X, &x.Y); err != nil {
 			return fmt.Errorf("parse %q: want \"x y\": %w", line, err)
 		}
-		var z geoind.Point
-		var err error
-		if mc, ok := mech.(geoind.MechanismCtx); ok {
-			z, err = mc.ReportCtx(ctx, x)
-		} else {
-			z, err = mech.Report(x)
-		}
+		z, err := mech.ReportCtx(ctx, x)
 		if err != nil {
 			return err
 		}

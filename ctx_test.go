@@ -13,14 +13,13 @@ import (
 	"geoind"
 )
 
-// blockMech is a Mechanism whose ctx paths block until canceled (or until
+// blockMech is a Mechanism whose reports block until canceled (or until
 // release is closed) — a stand-in for a cold report stuck behind a long
 // solve.
 type blockMech struct{ release chan struct{} }
 
-func (blockMech) Report(x geoind.Point) (geoind.Point, error) { return x, nil }
-func (blockMech) Epsilon() float64                            { return 0.5 }
-func (blockMech) Name() string                                { return "block" }
+func (blockMech) Epsilon() float64 { return 0.5 }
+func (blockMech) Name() string     { return "block" }
 func (m blockMech) ReportCtx(ctx context.Context, x geoind.Point) (geoind.Point, error) {
 	select {
 	case <-ctx.Done():
@@ -28,9 +27,6 @@ func (m blockMech) ReportCtx(ctx context.Context, x geoind.Point) (geoind.Point,
 	case <-m.release:
 		return x, nil
 	}
-}
-func (m blockMech) ReportBatch(points []geoind.Point) ([]geoind.Point, error) {
-	return m.ReportBatchCtx(context.Background(), points)
 }
 func (m blockMech) ReportBatchCtx(ctx context.Context, points []geoind.Point) ([]geoind.Point, error) {
 	select {
@@ -82,7 +78,7 @@ func TestBudgetedCanceledBatchLeavesBudgetUnchanged(t *testing.T) {
 
 	// A later batch still works and is charged normally on success.
 	close(release)
-	if _, err := b.ReportBatch("alice", pts); err != nil {
+	if _, err := b.ReportBatchCtx(context.Background(), "alice", pts); err != nil {
 		t.Fatal(err)
 	}
 	if r := b.Remaining("alice"); r != 8.5 {
@@ -108,7 +104,7 @@ func TestBudgetedCanceledReportRefunds(t *testing.T) {
 
 // TestMSMCanceledColdReportAbandonsSolve is the detached-lifecycle acceptance
 // test at the facade level: a canceled request aborts an in-flight cold
-// Report well before the LP completes, while a second uncanceled waiter on
+// ReportCtx well before the LP completes, while a second uncanceled waiter on
 // the same channel still receives the solved result.
 func TestMSMCanceledColdReportAbandonsSolve(t *testing.T) {
 	// Granularity 8 makes the root solve a 64-cell exact LP — hundreds of
@@ -186,8 +182,8 @@ func TestMSMCanceledColdReportAbandonsSolve(t *testing.T) {
 	}
 }
 
-// TestReportBatchCtxPreCanceled: the package-level batch helper refuses dead
-// contexts without sampling.
+// TestReportBatchCtxPreCanceled: a batch refuses a dead context without
+// sampling.
 func TestReportBatchCtxPreCanceled(t *testing.T) {
 	pl, err := geoind.NewPlanarLaplace(geoind.LaplaceConfig{Eps: 0.5, Seed: 1})
 	if err != nil {
@@ -197,5 +193,25 @@ func TestReportBatchCtxPreCanceled(t *testing.T) {
 	cancel()
 	if _, err := pl.ReportBatchCtx(ctx, []geoind.Point{{X: 1, Y: 1}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v want context.Canceled", err)
+	}
+}
+
+// TestFacadeCallersObserveCtx: EvaluateUtility, ReportTrace and
+// ReportTracePredictive run the mechanism under the caller's ctx, so a
+// canceled one stops each of them with context.Canceled.
+func TestFacadeCallersObserveCtx(t *testing.T) {
+	m := blockMech{release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pts := []geoind.Point{{X: 1, Y: 1}, {X: 2, Y: 2}}
+	if _, err := geoind.EvaluateUtility(ctx, m, pts, geoind.Euclidean); !errors.Is(err, context.Canceled) {
+		t.Errorf("EvaluateUtility: err=%v want context.Canceled", err)
+	}
+	if _, _, err := geoind.ReportTrace(ctx, m, pts); !errors.Is(err, context.Canceled) {
+		t.Errorf("ReportTrace: err=%v want context.Canceled", err)
+	}
+	cfg := geoind.PredictiveConfig{Theta: 4, EpsTest: 0.25}
+	if _, _, err := geoind.ReportTracePredictive(ctx, m, pts, cfg, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("ReportTracePredictive: err=%v want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package geoind
 
 import (
+	"context"
 	"io"
 	"math/rand/v2"
 
@@ -79,12 +80,13 @@ type UtilityStats struct {
 	Max float64
 }
 
-// EvaluateUtility runs every request through the mechanism and measures the
-// utility loss between true and reported locations under the metric.
-func EvaluateUtility(m Mechanism, requests []Point, metric Metric) (UtilityStats, error) {
+// EvaluateUtility runs every request through the mechanism under ctx and
+// measures the utility loss between true and reported locations under the
+// metric.
+func EvaluateUtility(ctx context.Context, m Mechanism, requests []Point, metric Metric) (UtilityStats, error) {
 	var st UtilityStats
 	for _, x := range requests {
-		z, err := m.Report(x)
+		z, err := m.ReportCtx(ctx, x)
 		if err != nil {
 			return st, err
 		}

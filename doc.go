@@ -39,5 +39,8 @@
 //		Seed:        1,
 //	})
 //	if err != nil { ... }
-//	private, err := m.Report(geoind.Point{X: 3.2, Y: 11.7})
+//	private, err := m.ReportCtx(ctx, geoind.Point{X: 3.2, Y: 11.7})
+//
+// Canceling ctx returns ctx.Err() promptly instead of waiting on a cold
+// channel solve; pass context.Background() when nothing cancels.
 package geoind

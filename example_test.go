@@ -1,6 +1,7 @@
 package geoind_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -40,7 +41,7 @@ func ExampleNewPlanarLaplace() {
 	if err != nil {
 		panic(err)
 	}
-	z, err := pl.Report(geoind.Point{X: 10, Y: 10})
+	z, err := pl.ReportCtx(context.Background(), geoind.Point{X: 10, Y: 10})
 	if err != nil {
 		panic(err)
 	}
@@ -63,7 +64,7 @@ func ExampleNewBudgeted() {
 		panic(err)
 	}
 	for i := 1; i <= 3; i++ {
-		_, err := b.Report("alice", geoind.Point{X: 5, Y: 5})
+		_, err := b.ReportCtx(context.Background(), "alice", geoind.Point{X: 5, Y: 5})
 		fmt.Printf("report %d ok: %v\n", i, err == nil)
 	}
 	// Output:
@@ -83,7 +84,7 @@ func ExampleEvaluateUtility() {
 	if err != nil {
 		panic(err)
 	}
-	st, err := geoind.EvaluateUtility(m, ds.SampleRequests(500, 2), geoind.Euclidean)
+	st, err := geoind.EvaluateUtility(context.Background(), m, ds.SampleRequests(500, 2), geoind.Euclidean)
 	if err != nil {
 		panic(err)
 	}

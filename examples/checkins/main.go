@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -55,7 +56,7 @@ func main() {
 			refused++
 			continue
 		}
-		z, err := m.Report(rec.Loc)
+		z, err := m.ReportCtx(context.Background(), rec.Loc)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -68,10 +69,11 @@ func main() {
 	fmt.Printf("served:            %d (mean utility loss %.2f km)\n", served, totalLoss/float64(served))
 	fmt.Printf("refused (budget):  %d\n", refused)
 
-	// Budget accounting invariant: nobody exceeded the daily budget.
+	// Budget accounting invariant: nobody exceeded the daily budget. Ties go
+	// to the lowest user id, so the line does not depend on map order.
 	worstUser, worst := -1, 0.0
 	for u, s := range spent {
-		if s > worst {
+		if s > worst || s == worst && u < worstUser {
 			worst, worstUser = s, u
 		}
 	}

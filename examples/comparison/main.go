@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -70,7 +71,7 @@ func main() {
 		var d, d2 float64
 		start := time.Now()
 		for _, x := range reqs {
-			z, err := e.mech.Report(x)
+			z, err := e.mech.ReportCtx(context.Background(), x)
 			if err != nil {
 				log.Fatal(err)
 			}

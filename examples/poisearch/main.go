@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -45,7 +46,7 @@ func main() {
 			regrets := make([]float64, 0, len(users))
 			radius := make([]float64, 0, len(users))
 			for _, x := range users {
-				z, err := m.Report(x)
+				z, err := m.ReportCtx(context.Background(), x)
 				if err != nil {
 					log.Fatal(err)
 				}

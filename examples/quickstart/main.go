@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,7 +52,7 @@ func main() {
 	}
 	fmt.Println("true location        reported location    distance (utility loss)")
 	for _, x := range locations {
-		z, err := m.Report(x)
+		z, err := m.ReportCtx(context.Background(), x)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,11 +47,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, ind, err := geoind.ReportTrace(pl, trace)
+		_, ind, err := geoind.ReportTrace(context.Background(), pl, trace)
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, pred, err := geoind.ReportTracePredictive(pl, trace, geoind.PredictiveConfig{
+		_, pred, err := geoind.ReportTracePredictive(context.Background(), pl, trace, geoind.PredictiveConfig{
 			Theta:   4.0,  // km: "have I left the neighbourhood?"
 			EpsTest: 0.25, // a quarter of a report per test
 		}, uint64(200+u))

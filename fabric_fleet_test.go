@@ -79,7 +79,7 @@ func sweep(tb testing.TB, m *geoind.MSM, step float64) {
 	tb.Helper()
 	for x := 0.3; x < 20; x += step {
 		for y := 0.3; y < 20; y += step {
-			if _, err := m.Report(geoind.Point{X: x, Y: y}); err != nil {
+			if _, err := m.ReportCtx(context.Background(), geoind.Point{X: x, Y: y}); err != nil {
 				tb.Fatalf("report (%g, %g): %v", x, y, err)
 			}
 		}

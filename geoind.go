@@ -42,7 +42,7 @@ const (
 // Square returns the square region [0, side) x [0, side).
 func Square(side float64) Rect { return geo.NewSquare(side) }
 
-// ErrSolveOverload is returned (wrapped) by Report/ReportCtx when
+// ErrSolveOverload is returned (wrapped) by ReportCtx when
 // MSMConfig.MaxSolves (or AdaptiveMSMConfig.MaxSolves) is set and both the
 // solve slots and the admission queue are full: the cold report was shed
 // immediately instead of queueing unboundedly. The caller should retry after
@@ -56,100 +56,16 @@ func ProjectRegion(minLat, minLon, maxLat, maxLon float64) (*geo.Region, error) 
 	return geo.NewRegion(minLat, minLon, maxLat, maxLon)
 }
 
-// Mechanism is a location-sanitization mechanism satisfying eps-GeoInd.
-type Mechanism interface {
-	// Report returns a privacy-preserving version of the true location x.
-	Report(x Point) (Point, error)
-	// Epsilon returns the total privacy budget the mechanism consumes per
-	// report.
-	Epsilon() float64
-	// Name returns a short identifier for experiment output.
-	Name() string
-}
-
-// BatchMechanism is a Mechanism with a pooled batch path: ReportBatch
-// sanitizes a slice of locations in one call, amortizing per-report overhead
-// (lock acquisitions, RNG stream setup) and — for the hierarchical mechanisms
-// with Workers > 1 — fanning the points across the worker pool. Results are
-// always returned in input order, deterministically for any worker count:
-// at Workers <= 1 the output is bit-identical to calling Report in a loop,
-// and at Workers > 1 it matches a sequential Report loop in the same arrival
-// order. Every mechanism in this package implements BatchMechanism.
-type BatchMechanism interface {
-	Mechanism
-	// ReportBatch returns privacy-preserving versions of all points, in
-	// input order. The privacy cost is len(points) * Epsilon().
-	ReportBatch(points []Point) ([]Point, error)
-}
-
-// MechanismCtx is a Mechanism whose reports observe a context: canceling ctx
+// Mechanism is a location-sanitization mechanism satisfying eps-GeoInd, and
+// the contract the HTTP server fronts. ReportCtx releases one location;
+// ReportBatchCtx releases a slice in input order for len(points) * Epsilon()
+// of privacy budget, deterministically for a fixed seed and arrival order
+// (at Workers <= 1, bit-identical to a ReportCtx loop). Canceling ctx
 // (client disconnect, deadline) makes an in-flight report return promptly
-// with ctx.Err() instead of blocking on a cold channel solve. Every
-// mechanism in this package implements MechanismCtx; the plain Report
-// methods remain as context.Background() wrappers.
-type MechanismCtx interface {
-	Mechanism
-	// ReportCtx is Report under ctx. With a background context the output is
-	// bit-identical to Report.
-	ReportCtx(ctx context.Context, x Point) (Point, error)
-}
-
-// BatchMechanismCtx is a BatchMechanism whose batch path observes a context:
-// a cancel drains the pooled fan-out promptly and the call returns ctx.Err().
-type BatchMechanismCtx interface {
-	BatchMechanism
-	// ReportBatchCtx is ReportBatch under ctx.
-	ReportBatchCtx(ctx context.Context, points []Point) ([]Point, error)
-}
-
-// ReportBatch sanitizes a slice of points with any Mechanism: mechanisms
-// implementing BatchMechanism use their pooled batch path, everything else
-// falls back to a sequential Report loop. The privacy cost is
-// len(points) * m.Epsilon() either way.
-func ReportBatch(m Mechanism, points []Point) ([]Point, error) {
-	if bm, ok := m.(BatchMechanism); ok {
-		return bm.ReportBatch(points)
-	}
-	out := make([]Point, len(points))
-	for i, x := range points {
-		z, err := m.Report(x)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = z
-	}
-	return out, nil
-}
-
-// ReportBatchCtx is ReportBatch under a context: it uses the mechanism's
-// ctx-aware batch path when available, falling back to per-point ReportCtx
-// or, last, a plain Report loop with a ctx poll between points.
-func ReportBatchCtx(ctx context.Context, m Mechanism, points []Point) ([]Point, error) {
-	if bm, ok := m.(BatchMechanismCtx); ok {
-		return bm.ReportBatchCtx(ctx, points)
-	}
-	mc, hasCtx := m.(MechanismCtx)
-	out := make([]Point, len(points))
-	for i, x := range points {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var (
-			z   Point
-			err error
-		)
-		if hasCtx {
-			z, err = mc.ReportCtx(ctx, x)
-		} else {
-			z, err = m.Report(x)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out[i] = z
-	}
-	return out, nil
-}
+// with ctx.Err() instead of blocking on a cold channel solve. Name is a
+// short identifier for experiment output. Every mechanism in this package
+// implements it.
+type Mechanism = server.Reporter
 
 // ---------------------------------------------------------------------------
 // Planar Laplace
@@ -193,8 +109,12 @@ func NewPlanarLaplace(cfg LaplaceConfig) (*PlanarLaplace, error) {
 	return pl, nil
 }
 
-// Report implements Mechanism.
-func (p *PlanarLaplace) Report(x Point) (Point, error) {
+// ReportCtx implements Mechanism. Sampling is a handful of float
+// operations, so the only ctx observance needed is an upfront poll.
+func (p *PlanarLaplace) ReportCtx(ctx context.Context, x Point) (Point, error) {
+	if err := ctx.Err(); err != nil {
+		return Point{}, err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.grid != nil {
@@ -203,31 +123,16 @@ func (p *PlanarLaplace) Report(x Point) (Point, error) {
 	return p.mech.Sample(x), nil
 }
 
-// ReportCtx implements MechanismCtx. Sampling is a handful of float
-// operations, so the only ctx observance needed is an upfront poll.
-func (p *PlanarLaplace) ReportCtx(ctx context.Context, x Point) (Point, error) {
-	if err := ctx.Err(); err != nil {
-		return Point{}, err
-	}
-	return p.Report(x)
-}
-
-// ReportBatch implements BatchMechanism: the RNG mutex is acquired once for
-// the whole batch and the points are sampled sequentially, so the output is
-// bit-identical to a Report loop.
-func (p *PlanarLaplace) ReportBatch(points []Point) ([]Point, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.mech.SampleBatch(points, p.grid), nil
-}
-
-// ReportBatchCtx implements BatchMechanismCtx with an upfront ctx poll; the
-// batch itself is pure in-memory sampling and never blocks.
+// ReportBatchCtx implements Mechanism: after an upfront ctx poll the RNG
+// mutex is acquired once for the whole batch and the points are sampled
+// sequentially, so the output is bit-identical to a ReportCtx loop.
 func (p *PlanarLaplace) ReportBatchCtx(ctx context.Context, points []Point) ([]Point, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.ReportBatch(points)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.mech.SampleBatch(points, p.grid), nil
 }
 
 // Epsilon implements Mechanism.
@@ -292,7 +197,7 @@ type OptimalConfig struct {
 }
 
 // optBatchStreamSalt derives the per-point PCG stream sequence numbers of
-// Optimal.ReportBatch with Workers > 1 (distinct from the internal/core and
+// Optimal.ReportBatchCtx with Workers > 1 (distinct from the internal/core and
 // internal/adaptive salts, so streams never overlap across mechanisms built
 // from one seed).
 const optBatchStreamSalt = 0x3c6ef372fe94f82b
@@ -384,30 +289,29 @@ func NewOptimal(cfg OptimalConfig) (*Optimal, error) {
 	}, nil
 }
 
-// Report implements Mechanism.
-func (o *Optimal) Report(x Point) (Point, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.ch.SampleVia(o.sampler, x, o.rng), nil
-}
-
-// ReportCtx implements MechanismCtx. The channel is solved at construction,
+// ReportCtx implements Mechanism. The channel is solved at construction,
 // so reporting is pure sampling; an upfront poll is the only ctx observance
 // needed.
 func (o *Optimal) ReportCtx(ctx context.Context, x Point) (Point, error) {
 	if err := ctx.Err(); err != nil {
 		return Point{}, err
 	}
-	return o.Report(x)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.ch.SampleVia(o.sampler, x, o.rng), nil
 }
 
-// ReportBatch implements BatchMechanism. With Workers <= 1 the batch holds
-// the RNG mutex once and samples sequentially (bit-identical to a Report
+// ReportBatchCtx implements Mechanism. After an upfront ctx poll (the batch
+// is pure in-memory sampling and never blocks), with Workers <= 1 it holds
+// the RNG mutex once and samples sequentially (bit-identical to a ReportCtx
 // loop); with Workers > 1 it reserves a contiguous block of point indices
 // and fans the samples across the worker pool, each point drawing from the
 // PCG stream of its own index, so the output is order-deterministic for any
 // worker count.
-func (o *Optimal) ReportBatch(points []Point) ([]Point, error) {
+func (o *Optimal) ReportBatchCtx(ctx context.Context, points []Point) ([]Point, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([]Point, len(points))
 	if len(points) == 0 {
 		return out, nil
@@ -428,15 +332,6 @@ func (o *Optimal) ReportBatch(points []Point) ([]Point, error) {
 		return nil
 	})
 	return out, nil
-}
-
-// ReportBatchCtx implements BatchMechanismCtx with an upfront ctx poll; the
-// batch itself is pure in-memory sampling and never blocks.
-func (o *Optimal) ReportBatchCtx(ctx context.Context, points []Point) ([]Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return o.ReportBatch(points)
 }
 
 // Epsilon implements Mechanism.
@@ -694,27 +589,18 @@ func newChannelStore(cfg MSMConfig) (*channel.Store, *fabric.Fabric, error) {
 	return channel.New(opts), fab, nil
 }
 
-// Report implements Mechanism.
-func (m *MSM) Report(x Point) (Point, error) { return m.m.ReportCtx(context.Background(), x) }
-
-// ReportCtx implements MechanismCtx: canceling ctx aborts an in-flight cold
+// ReportCtx implements Mechanism: canceling ctx aborts an in-flight cold
 // report promptly (abandoning — not killing — any channel solve that still
 // has other waiters). Warm reports never block and are unaffected.
 func (m *MSM) ReportCtx(ctx context.Context, x Point) (Point, error) {
 	return m.m.ReportCtx(ctx, x)
 }
 
-// ReportBatch implements BatchMechanism: the batch acquires the sampling
+// ReportBatchCtx implements Mechanism: the batch acquires the sampling
 // stream once and, with Workers > 1, fans the descents across the worker
-// pool. Results come back in input order, identical to a sequential Report
-// loop for the same seed and arrival order at any worker count.
-func (m *MSM) ReportBatch(points []Point) ([]Point, error) {
-	return m.m.ReportBatchCtx(context.Background(), points)
-}
-
-// ReportBatchCtx implements BatchMechanismCtx: a cancel drains the pooled
-// fan-out promptly and returns ctx.Err(); uncanceled output is bit-identical
-// to ReportBatch.
+// pool. Results come back in input order, identical to a sequential
+// ReportCtx loop for the same seed and arrival order at any worker count; a
+// cancel drains the fan-out promptly and returns ctx.Err().
 func (m *MSM) ReportBatchCtx(ctx context.Context, points []Point) ([]Point, error) {
 	return m.m.ReportBatchCtx(ctx, points)
 }
@@ -817,18 +703,9 @@ func (m *MSM) ChannelSnapshot(ctx context.Context, key channel.Key, solve bool) 
 
 // Static interface conformance checks.
 var (
-	_ Mechanism         = (*PlanarLaplace)(nil)
-	_ Mechanism         = (*Optimal)(nil)
-	_ Mechanism         = (*MSM)(nil)
-	_ BatchMechanism    = (*PlanarLaplace)(nil)
-	_ BatchMechanism    = (*Optimal)(nil)
-	_ BatchMechanism    = (*MSM)(nil)
-	_ MechanismCtx      = (*PlanarLaplace)(nil)
-	_ MechanismCtx      = (*Optimal)(nil)
-	_ MechanismCtx      = (*MSM)(nil)
-	_ BatchMechanismCtx = (*PlanarLaplace)(nil)
-	_ BatchMechanismCtx = (*Optimal)(nil)
-	_ BatchMechanismCtx = (*MSM)(nil)
-	_ server.Statser    = (*Optimal)(nil)
-	_ server.Statser    = (*MSM)(nil)
+	_ Mechanism      = (*PlanarLaplace)(nil)
+	_ Mechanism      = (*Optimal)(nil)
+	_ Mechanism      = (*MSM)(nil)
+	_ server.Statser = (*Optimal)(nil)
+	_ server.Statser = (*MSM)(nil)
 )

@@ -2,6 +2,7 @@ package geoind_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func TestPlanarLaplaceFacade(t *testing.T) {
 	if pl.Name() != "PL" || pl.Epsilon() != 0.5 {
 		t.Errorf("Name=%s Eps=%g", pl.Name(), pl.Epsilon())
 	}
-	z, err := pl.Report(geoind.Point{X: 5, Y: 5})
+	z, err := pl.ReportCtx(context.Background(), geoind.Point{X: 5, Y: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestPlanarLaplaceFacade(t *testing.T) {
 	if plr.Name() != "PL+remap" {
 		t.Errorf("Name=%s", plr.Name())
 	}
-	z, err = plr.Report(geoind.Point{X: 5, Y: 5})
+	z, err = plr.ReportCtx(context.Background(), geoind.Point{X: 5, Y: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestOptimalFacade(t *testing.T) {
 	if len(k) != 81 {
 		t.Errorf("channel len %d", len(k))
 	}
-	if _, err := o.Report(geoind.Point{X: 1, Y: 1}); err != nil {
+	if _, err := o.ReportCtx(context.Background(), geoind.Point{X: 1, Y: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -108,7 +109,7 @@ func TestMSMFacade(t *testing.T) {
 	if m.LeafGranularity() != want {
 		t.Errorf("leaf granularity %d want %d", m.LeafGranularity(), want)
 	}
-	if _, err := m.Report(geoind.Point{X: 4, Y: 16}); err != nil {
+	if _, err := m.ReportCtx(context.Background(), geoind.Point{X: 4, Y: 16}); err != nil {
 		t.Fatal(err)
 	}
 	queries, solves := m.Stats()
@@ -133,7 +134,7 @@ func TestMSMMaxSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := m.Report(geoind.Point{X: 4, Y: 16}); err != nil {
+		if _, err := m.ReportCtx(context.Background(), geoind.Point{X: 4, Y: 16}); err != nil {
 			t.Fatalf("report %d under max-solves: %v", i, err)
 		}
 	}
@@ -153,7 +154,7 @@ func TestEvaluateUtility(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := ds.SampleRequests(500, 9)
-	st, err := geoind.EvaluateUtility(pl, reqs, geoind.Euclidean)
+	st, err := geoind.EvaluateUtility(context.Background(), pl, reqs, geoind.Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +221,11 @@ func TestMechanismComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msmStats, err := geoind.EvaluateUtility(msm, reqs, geoind.Euclidean)
+	msmStats, err := geoind.EvaluateUtility(context.Background(), msm, reqs, geoind.Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plStats, err := geoind.EvaluateUtility(pl, reqs, geoind.Euclidean)
+	plStats, err := geoind.EvaluateUtility(context.Background(), pl, reqs, geoind.Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestAdaptiveMSMFacade(t *testing.T) {
 	if m.MeanLeafSide() <= 0 || m.MeanLeafSide() > 20 {
 		t.Errorf("MeanLeafSide=%g", m.MeanLeafSide())
 	}
-	z, err := m.Report(geoind.Point{X: 4, Y: 16})
+	z, err := m.ReportCtx(context.Background(), geoind.Point{X: 4, Y: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestAllMechanismsSatisfyInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mech := range []geoind.Mechanism{pl, o, m, a} {
-		st, err := geoind.EvaluateUtility(mech, reqs, geoind.Euclidean)
+		st, err := geoind.EvaluateUtility(context.Background(), mech, reqs, geoind.Euclidean)
 		if err != nil {
 			t.Fatalf("%s: %v", mech.Name(), err)
 		}
@@ -315,20 +316,20 @@ func TestBudgetedWrapper(t *testing.T) {
 		t.Errorf("limit=%g eps=%g", b.Limit(), b.Epsilon())
 	}
 	x := geoind.Point{X: 5, Y: 5}
-	if _, err := b.Report("alice", x); err != nil {
+	if _, err := b.ReportCtx(context.Background(), "alice", x); err != nil {
 		t.Fatal(err)
 	}
 	if r := b.Remaining("alice"); math.Abs(r-0.25) > 1e-12 {
 		t.Errorf("remaining %g want 0.25", r)
 	}
-	if _, err := b.Report("alice", x); err != nil {
+	if _, err := b.ReportCtx(context.Background(), "alice", x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Report("alice", x); err != geoind.ErrBudgetExhausted {
+	if _, err := b.ReportCtx(context.Background(), "alice", x); err != geoind.ErrBudgetExhausted {
 		t.Errorf("third report: %v want ErrBudgetExhausted", err)
 	}
 	// Other users unaffected.
-	if _, err := b.Report("bob", x); err != nil {
+	if _, err := b.ReportCtx(context.Background(), "bob", x); err != nil {
 		t.Errorf("bob: %v", err)
 	}
 	// Ledger persistence round trip.
@@ -372,14 +373,14 @@ func TestTrajectoryFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, sum, err := geoind.ReportTrace(pl, traces[0])
+	steps, sum, err := geoind.ReportTrace(context.Background(), pl, traces[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(steps) != 100 || sum.TotalSpent != 100 {
 		t.Errorf("independent: %d steps spent %g", len(steps), sum.TotalSpent)
 	}
-	psteps, psum, err := geoind.ReportTracePredictive(pl, traces[0],
+	psteps, psum, err := geoind.ReportTracePredictive(context.Background(), pl, traces[0],
 		geoind.PredictiveConfig{Theta: 4, EpsTest: 0.25}, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +392,7 @@ func TestTrajectoryFacade(t *testing.T) {
 		t.Errorf("predictive spent %g not below %g", psum.TotalSpent, sum.TotalSpent)
 	}
 	// Bad config errors.
-	if _, _, err := geoind.ReportTracePredictive(pl, traces[0], geoind.PredictiveConfig{}, 7); err == nil {
+	if _, _, err := geoind.ReportTracePredictive(context.Background(), pl, traces[0], geoind.PredictiveConfig{}, 7); err == nil {
 		t.Error("zero config should error")
 	}
 	if _, err := geoind.GenerateTraces(0, geoind.TraceConfig{}); err == nil {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -73,7 +74,7 @@ func (c *Context) RunTrajectory(epsReport float64, steps int) (*TrajectoryResult
 			if err != nil {
 				return nil, err
 			}
-			ind, err := trajectory.Independent(plAdapter{indMech}, tr.Points)
+			ind, err := trajectory.Independent(context.Background(), plAdapter{indMech}, tr.Points)
 			if err != nil {
 				return nil, err
 			}
@@ -85,7 +86,7 @@ func (c *Context) RunTrajectory(epsReport float64, steps int) (*TrajectoryResult
 			if err != nil {
 				return nil, err
 			}
-			pred, err := trajectory.Predictive(plAdapter{predMech}, tr.Points, pcfg,
+			pred, err := trajectory.Predictive(context.Background(), plAdapter{predMech}, tr.Points, pcfg,
 				rand.New(rand.NewPCG(c.Seed, uint64(3000+ti))))
 			if err != nil {
 				return nil, err
@@ -121,11 +122,14 @@ func (c *Context) RunTrajectory(epsReport float64, steps int) (*TrajectoryResult
 	return res, nil
 }
 
-// plAdapter exposes laplace.Mechanism as a trajectory.Reporter.
+// plAdapter exposes laplace.Mechanism as a trajectory.Reporter. Sampling
+// never blocks, and the experiments run under a background context.
 type plAdapter struct{ m *laplace.Mechanism }
 
-func (a plAdapter) Report(x geo.Point) (geo.Point, error) { return a.m.Sample(x), nil }
-func (a plAdapter) Epsilon() float64                      { return a.m.Epsilon() }
+func (a plAdapter) ReportCtx(_ context.Context, x geo.Point) (geo.Point, error) {
+	return a.m.Sample(x), nil
+}
+func (a plAdapter) Epsilon() float64 { return a.m.Epsilon() }
 
 // Table renders the trajectory comparison.
 func (r *TrajectoryResult) Table() *Table {

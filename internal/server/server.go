@@ -18,8 +18,8 @@ import (
 
 // Reporter is the mechanism the server fronts. Reports run under the
 // request's context (plus the request timeout), so a client that disconnects
-// mid-report stops paying for the work it no longer wants. Every public
-// geoind mechanism satisfies it (geoind.Point is an alias of geo.Point).
+// mid-report stops paying for the work it no longer wants. The public
+// geoind.Mechanism is an alias of it, so every geoind mechanism serves as is.
 type Reporter interface {
 	ReportCtx(ctx context.Context, x geo.Point) (geo.Point, error)
 	ReportBatchCtx(ctx context.Context, xs []geo.Point) ([]geo.Point, error)

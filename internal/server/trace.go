@@ -113,17 +113,6 @@ type TraceResponse struct {
 	Mechanism string  `json:"mechanism"`
 }
 
-// serverReporter adapts the server's cancelable report path to the
-// context-free trajectory.Reporter interface for the duration of one request:
-// Report runs under the request context (timeout + client disconnect).
-type serverReporter struct {
-	s   *Server
-	ctx context.Context
-}
-
-func (m serverReporter) Report(x geo.Point) (geo.Point, error) { return m.s.mech.ReportCtx(m.ctx, x) }
-func (m serverReporter) Epsilon() float64                      { return m.s.eps }
-
 // handleTrace serves POST /v1/trace: one true location in, one released
 // location out, with per-user sticky state (budget window + last release) in
 // the session store. Each step is one session.Step: steps for the same user
@@ -220,7 +209,7 @@ func (s *Server) predictiveStep(ctx context.Context, tx *session.Tx, ts *traceSt
 	memo, ok := tx.Memo()
 	st := trajectory.State{HasRelease: ok, Release: memo}
 	pcfg := trajectory.PredictiveConfig{Theta: ts.cfg.Theta, EpsTest: ts.cfg.EpsTest}
-	step, next, err := trajectory.StepPredictive(serverReporter{s, ctx}, tx, st, x, pcfg, ts.rng)
+	step, next, err := trajectory.StepPredictive(ctx, s.mech, tx, st, x, pcfg, ts.rng)
 	if err == nil && step.Fresh {
 		tx.SetMemo(next.Release)
 	}

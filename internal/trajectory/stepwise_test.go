@@ -1,6 +1,7 @@
 package trajectory
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -28,10 +29,10 @@ func (b *recordingBudget) Spend(eps float64) error {
 
 func (b *recordingBudget) Refund(eps float64) { b.charged -= eps }
 
-// failingReporter errors on Report after optionally succeeding n times.
+// failingReporter errors on every report.
 type failingReporter struct{ eps float64 }
 
-func (f failingReporter) Report(geo.Point) (geo.Point, error) {
+func (f failingReporter) ReportCtx(context.Context, geo.Point) (geo.Point, error) {
 	return geo.Point{}, errors.New("mechanism down")
 }
 func (f failingReporter) Epsilon() float64 { return f.eps }
@@ -46,7 +47,7 @@ func TestStepPredictiveMatchesWholeTrace(t *testing.T) {
 	}
 	cfg := PredictiveConfig{Theta: 2.0, EpsTest: 0.1}
 	for _, tr := range traces {
-		whole, err := Predictive(newPL(t, 1.0, 51), tr.Points, cfg, rand.New(rand.NewPCG(5, 5)))
+		whole, err := Predictive(context.Background(), newPL(t, 1.0, 51), tr.Points, cfg, rand.New(rand.NewPCG(5, 5)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func TestStepPredictiveMatchesWholeTrace(t *testing.T) {
 		rng := rand.New(rand.NewPCG(5, 5))
 		var st State
 		for i, x := range tr.Points {
-			step, next, err := StepPredictive(mech, Unmetered{}, st, x, cfg, rng)
+			step, next, err := StepPredictive(context.Background(), mech, Unmetered{}, st, x, cfg, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +74,7 @@ func TestStepPredictiveBudgetAccounting(t *testing.T) {
 	b := &recordingBudget{}
 
 	// First step: no prior release, charges exactly epsReport.
-	step, st, err := StepPredictive(mech, b, State{}, geo.Point{X: 5, Y: 5}, cfg, rng)
+	step, st, err := StepPredictive(context.Background(), mech, b, State{}, geo.Point{X: 5, Y: 5}, cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestStepPredictiveBudgetAccounting(t *testing.T) {
 	// Subsequent steps: net charge always equals the step's Spent.
 	for i := 0; i < 50; i++ {
 		before := b.charged
-		step, st, err = StepPredictive(mech, b, st, geo.Point{X: 5, Y: 5}, cfg, rng)
+		step, st, err = StepPredictive(context.Background(), mech, b, st, geo.Point{X: 5, Y: 5}, cfg, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,40 +97,52 @@ func TestStepPredictiveBudgetAccounting(t *testing.T) {
 	// Denied budget: nothing charged, state unchanged.
 	b.deny = true
 	prev := st
-	if _, st2, err := StepPredictive(mech, b, st, geo.Point{X: 5, Y: 5}, cfg, rng); err == nil || st2 != prev {
+	if _, st2, err := StepPredictive(context.Background(), mech, b, st, geo.Point{X: 5, Y: 5}, cfg, rng); err == nil || st2 != prev {
 		t.Fatalf("denied spend: err=%v state=%+v", err, st2)
 	}
 }
 
 // TestStepPredictiveRefundsOnMechanismFailure: when the underlying mechanism
-// errors, only the report epsilon is refunded. The private test already ran
-// — its outcome is observable no matter how the step ends — so its epsTest
-// stays spent; refunding it would hand out free distance probes.
+// errors, or the caller's ctx cancels the release, only the report epsilon
+// is refunded. The private test already ran — its outcome is observable no
+// matter how the step ends — so its epsTest stays spent; refunding it would
+// hand out free distance probes.
 func TestStepPredictiveRefundsOnMechanismFailure(t *testing.T) {
-	cfg := PredictiveConfig{Theta: 0.001, EpsTest: 100} // test noise ~0: always fails the test
-	rng := rand.New(rand.NewPCG(7, 7))
-	b := &recordingBudget{}
-	st := State{HasRelease: true, Release: geo.Point{X: 0, Y: 0}}
-	_, st2, err := StepPredictive(failingReporter{eps: 1}, b, st, geo.Point{X: 19, Y: 19}, cfg, rng)
-	if err == nil {
-		t.Fatal("mechanism failure not propagated")
-	}
-	if math.Abs(b.charged-cfg.EpsTest) > 1e-12 {
-		t.Fatalf("net charge %g after failed release, want epsTest %g kept", b.charged, cfg.EpsTest)
-	}
-	if st2 != st {
-		t.Fatalf("state mutated on failure: %+v", st2)
-	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		mech Reporter
+	}{
+		{"mechanism error", context.Background(), failingReporter{eps: 1}},
+		{"canceled ctx", canceled, newPL(t, 1, 83)},
+	} {
+		cfg := PredictiveConfig{Theta: 0.001, EpsTest: 100} // test noise ~0: always fails the test
+		rng := rand.New(rand.NewPCG(7, 7))
+		b := &recordingBudget{}
+		st := State{HasRelease: true, Release: geo.Point{X: 0, Y: 0}}
+		_, st2, err := StepPredictive(tc.ctx, tc.mech, b, st, geo.Point{X: 19, Y: 19}, cfg, rng)
+		if err == nil {
+			t.Fatalf("%s: failure not propagated", tc.name)
+		}
+		if math.Abs(b.charged-cfg.EpsTest) > 1e-12 {
+			t.Fatalf("%s: net charge %g after failed release, want epsTest %g kept", tc.name, b.charged, cfg.EpsTest)
+		}
+		if st2 != st {
+			t.Fatalf("%s: state mutated on failure: %+v", tc.name, st2)
+		}
 
-	// First step (no prior release, no test run): the whole charge comes
-	// back — nothing was revealed.
-	b2 := &recordingBudget{}
-	_, _, err = StepPredictive(failingReporter{eps: 1}, b2, State{}, geo.Point{X: 19, Y: 19}, cfg, rng)
-	if err == nil {
-		t.Fatal("mechanism failure not propagated on first step")
-	}
-	if math.Abs(b2.charged) > 1e-12 {
-		t.Fatalf("net charge %g after failed first release, want 0", b2.charged)
+		// First step (no prior release, no test run): the whole charge
+		// comes back — nothing was revealed.
+		b2 := &recordingBudget{}
+		_, _, err = StepPredictive(tc.ctx, tc.mech, b2, State{}, geo.Point{X: 19, Y: 19}, cfg, rng)
+		if err == nil {
+			t.Fatalf("%s: failure not propagated on first step", tc.name)
+		}
+		if math.Abs(b2.charged) > 1e-12 {
+			t.Fatalf("%s: net charge %g after failed first release, want 0", tc.name, b2.charged)
+		}
 	}
 }
 
@@ -163,7 +176,7 @@ func TestStepPredictiveKeepsEpsTestOnDeniedReport(t *testing.T) {
 	b := &cappedBudget{limit: 0.5}
 	for i := 0; i < 2; i++ {
 		before := b.charged
-		_, st2, err := StepPredictive(failingReporter{eps: 1}, b, st, geo.Point{X: 19, Y: 19}, cfg, rng)
+		_, st2, err := StepPredictive(context.Background(), failingReporter{eps: 1}, b, st, geo.Point{X: 19, Y: 19}, cfg, rng)
 		if !errors.Is(err, errDenied) {
 			t.Fatalf("probe %d: err = %v, want denial", i, err)
 		}
@@ -179,11 +192,31 @@ func TestStepPredictiveKeepsEpsTestOnDeniedReport(t *testing.T) {
 	}
 	// A third probe is denied at the test spend itself: no noise drawn, so
 	// nothing is (or needs to be) kept.
-	if _, _, err := StepPredictive(failingReporter{eps: 1}, b, st, geo.Point{X: 19, Y: 19}, cfg, rng); !errors.Is(err, errDenied) {
+	if _, _, err := StepPredictive(context.Background(), failingReporter{eps: 1}, b, st, geo.Point{X: 19, Y: 19}, cfg, rng); !errors.Is(err, errDenied) {
 		t.Fatalf("exhausted probe: err = %v, want denial", err)
 	}
 	if math.Abs(b.charged-0.5) > 1e-12 {
 		t.Fatalf("denied test spend changed the charge: %g", b.charged)
+	}
+}
+
+// TestTraceCanceledCtx: a canceled ctx reaches the mechanism through every
+// trace entry point. TestStepPredictiveRefundsOnMechanismFailure covers
+// what a canceled step charges.
+func TestTraceCanceledCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pts := []geo.Point{{X: 5, Y: 5}, {X: 6, Y: 6}}
+	if _, err := Independent(ctx, newPL(t, 1, 81), pts); !errors.Is(err, context.Canceled) {
+		t.Errorf("Independent: err = %v, want context.Canceled", err)
+	}
+	cfg := PredictiveConfig{Theta: 4, EpsTest: 0.25}
+	if _, err := Predictive(ctx, newPL(t, 1, 82), pts, cfg, rand.New(rand.NewPCG(9, 9))); !errors.Is(err, context.Canceled) {
+		t.Errorf("Predictive: err = %v, want context.Canceled", err)
+	}
+	_, _, err := StepPredictive(ctx, newPL(t, 1, 83), Unmetered{}, State{}, pts[0], cfg, rand.New(rand.NewPCG(9, 9)))
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("StepPredictive: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -222,7 +255,7 @@ func TestAdversaryErrorOrdersEps(t *testing.T) {
 		runs := make([][]Step, len(traces))
 		for i, tr := range traces {
 			pts[i] = tr.Points
-			steps, err := Independent(mech, tr.Points)
+			steps, err := Independent(context.Background(), mech, tr.Points)
 			if err != nil {
 				t.Fatal(err)
 			}

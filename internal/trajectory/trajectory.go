@@ -17,6 +17,7 @@
 package trajectory
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -25,9 +26,10 @@ import (
 )
 
 // Reporter is the underlying single-report mechanism (geoind.Mechanism
-// satisfies it).
+// satisfies it). ReportCtx runs under the caller's context, so a canceled
+// step returns the mechanism's ctx.Err().
 type Reporter interface {
-	Report(x geo.Point) (geo.Point, error)
+	ReportCtx(ctx context.Context, x geo.Point) (geo.Point, error)
 	Epsilon() float64
 }
 
@@ -51,10 +53,10 @@ type Step struct {
 // Independent releases every point of the trace through the mechanism,
 // spending mech.Epsilon() per step. It is the baseline the predictive
 // mechanism is measured against.
-func Independent(mech Reporter, trace []geo.Point) ([]Step, error) {
+func Independent(ctx context.Context, mech Reporter, trace []geo.Point) ([]Step, error) {
 	out := make([]Step, 0, len(trace))
 	for _, x := range trace {
-		z, err := mech.Report(x)
+		z, err := mech.ReportCtx(ctx, x)
 		if err != nil {
 			return nil, err
 		}
@@ -128,9 +130,9 @@ func (Unmetered) Refund(float64) {}
 // fresh report, a budget denial, or a mechanism error). Refunding it would
 // let a caller run epsTest-DP distance probes for free. Only budget whose
 // noise was never drawn is refunded: the report epsilon when the mechanism
-// fails, which on a first step (no prior release, no test) is the whole
-// charge.
-func StepPredictive(mech Reporter, budget Budget, st State, x geo.Point, cfg PredictiveConfig, rng *rand.Rand) (Step, State, error) {
+// fails (a canceled ctx included), which on a first step (no prior release,
+// no test) is the whole charge.
+func StepPredictive(ctx context.Context, mech Reporter, budget Budget, st State, x geo.Point, cfg PredictiveConfig, rng *rand.Rand) (Step, State, error) {
 	if err := cfg.Validate(); err != nil {
 		return Step{}, st, err
 	}
@@ -156,7 +158,7 @@ func StepPredictive(mech Reporter, budget Budget, st State, x geo.Point, cfg Pre
 		return Step{}, st, err
 	}
 	charged += mech.Epsilon()
-	z, err := mech.Report(x)
+	z, err := mech.ReportCtx(ctx, x)
 	if err != nil {
 		// The report never happened, so its epsilon goes back; the test's
 		// epsTest (when a test ran) stays spent.
@@ -170,7 +172,7 @@ func StepPredictive(mech Reporter, budget Budget, st State, x geo.Point, cfg Pre
 // always a fresh report. The rng drives the test noise (the underlying
 // mechanism keeps its own randomness). It is the whole-trace loop over
 // StepPredictive with an unmetered budget.
-func Predictive(mech Reporter, trace []geo.Point, cfg PredictiveConfig, rng *rand.Rand) ([]Step, error) {
+func Predictive(ctx context.Context, mech Reporter, trace []geo.Point, cfg PredictiveConfig, rng *rand.Rand) ([]Step, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -180,7 +182,7 @@ func Predictive(mech Reporter, trace []geo.Point, cfg PredictiveConfig, rng *ran
 	out := make([]Step, 0, len(trace))
 	var st State
 	for _, x := range trace {
-		step, next, err := StepPredictive(mech, Unmetered{}, st, x, cfg, rng)
+		step, next, err := StepPredictive(ctx, mech, Unmetered{}, st, x, cfg, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package trajectory
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -12,8 +13,14 @@ import (
 // plReporter adapts the planar Laplace mechanism for trace tests.
 type plReporter struct{ m *laplace.Mechanism }
 
-func (p plReporter) Report(x geo.Point) (geo.Point, error) { return p.m.Sample(x), nil }
-func (p plReporter) Epsilon() float64                      { return p.m.Epsilon() }
+func (p plReporter) ReportCtx(ctx context.Context, x geo.Point) (geo.Point, error) {
+	if err := ctx.Err(); err != nil {
+		return geo.Point{}, err
+	}
+	return p.m.Sample(x), nil
+}
+
+func (p plReporter) Epsilon() float64 { return p.m.Epsilon() }
 
 func newPL(t *testing.T, eps float64, seed uint64) Reporter {
 	t.Helper()
@@ -113,7 +120,7 @@ func TestIndependentAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := Independent(mech, traces[0].Points)
+	steps, err := Independent(context.Background(), mech, traces[0].Points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +143,13 @@ func TestPredictiveValidation(t *testing.T) {
 	mech := newPL(t, 0.2, 3)
 	rng := rand.New(rand.NewPCG(1, 1))
 	pts := []geo.Point{{X: 1, Y: 1}}
-	if _, err := Predictive(mech, pts, PredictiveConfig{Theta: 0, EpsTest: 0.01}, rng); err == nil {
+	if _, err := Predictive(context.Background(), mech, pts, PredictiveConfig{Theta: 0, EpsTest: 0.01}, rng); err == nil {
 		t.Error("theta=0 should fail")
 	}
-	if _, err := Predictive(mech, pts, PredictiveConfig{Theta: 1, EpsTest: 0}, rng); err == nil {
+	if _, err := Predictive(context.Background(), mech, pts, PredictiveConfig{Theta: 1, EpsTest: 0}, rng); err == nil {
 		t.Error("epsTest=0 should fail")
 	}
-	if _, err := Predictive(mech, pts, PredictiveConfig{Theta: 1, EpsTest: 0.01}, nil); err == nil {
+	if _, err := Predictive(context.Background(), mech, pts, PredictiveConfig{Theta: 1, EpsTest: 0.01}, nil); err == nil {
 		t.Error("nil rng should fail")
 	}
 }
@@ -156,7 +163,7 @@ func TestPredictiveAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := PredictiveConfig{Theta: 1.0, EpsTest: 0.02}
-	steps, err := Predictive(mech, traces[0].Points, cfg, rand.New(rand.NewPCG(2, 2)))
+	steps, err := Predictive(context.Background(), mech, traces[0].Points, cfg, rand.New(rand.NewPCG(2, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +202,11 @@ func TestPredictiveSavesBudgetOnDwellingUser(t *testing.T) {
 	// spurious test failures erase the savings.
 	pcfg := PredictiveConfig{Theta: 4.0, EpsTest: 0.5}
 	for _, tr := range traces {
-		ind, err := Independent(newPL(t, 2.0, 21), tr.Points)
+		ind, err := Independent(context.Background(), newPL(t, 2.0, 21), tr.Points)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred, err := Predictive(newPL(t, 2.0, 22), tr.Points, pcfg, rand.New(rand.NewPCG(3, 3)))
+		pred, err := Predictive(context.Background(), newPL(t, 2.0, 22), tr.Points, pcfg, rand.New(rand.NewPCG(3, 3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +241,7 @@ func TestPredictiveDetectsMovement(t *testing.T) {
 	// jumps, so essentially every test must fail. (At tiny epsTest the test
 	// becomes noisy and erroneous passes are expected — that is the
 	// privacy/accuracy trade-off of the test itself.)
-	steps, err := Predictive(newPL(t, 0.5, 31), pts, PredictiveConfig{Theta: 1.0, EpsTest: 0.5},
+	steps, err := Predictive(context.Background(), newPL(t, 0.5, 31), pts, PredictiveConfig{Theta: 1.0, EpsTest: 0.5},
 		rand.New(rand.NewPCG(4, 4)))
 	if err != nil {
 		t.Fatal(err)

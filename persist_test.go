@@ -1,6 +1,7 @@
 package geoind_test
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"hash/fnv"
@@ -37,7 +38,7 @@ func reportSequence(t *testing.T, m *geoind.MSM, n int) []geoind.Point {
 	var out []geoind.Point
 	for i := 0; i < n; i++ {
 		x := geoind.Point{X: float64(i%7) * 2.9, Y: float64(i%4) * 4.7}
-		z, err := m.Report(x)
+		z, err := m.ReportCtx(context.Background(), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestCacheBytesEvictionWithDiskReload(t *testing.T) {
 	if _, s := m2.Stats(); s != 0 {
 		t.Fatalf("evicting warm restart performed %d solves, want 0", s)
 	}
-	if _, err := m2.Report(geoind.Point{X: 3, Y: 4}); err != nil {
+	if _, err := m2.ReportCtx(context.Background(), geoind.Point{X: 3, Y: 4}); err != nil {
 		t.Fatal(err)
 	}
 	_ = solves1
@@ -347,7 +348,7 @@ func TestWarmRestartFromV1Snapshots(t *testing.T) {
 		t.Fatalf("dir-cache counters after v1 restart: %+v, want %d version misses and 0 errors",
 			dst, solves1)
 	}
-	if _, err := m2.ReportBatch([]geoind.Point{{X: 3, Y: 4}, {X: 11, Y: 2}}); err != nil {
+	if _, err := m2.ReportBatchCtx(context.Background(), []geoind.Point{{X: 3, Y: 4}, {X: 11, Y: 2}}); err != nil {
 		t.Fatalf("report after v1 migration: %v", err)
 	}
 	m2.FlushCache()

@@ -1,6 +1,7 @@
 package geoind_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestAliasSamplerReportsMatchDistribution(t *testing.T) {
 
 // TestAliasSharingConcurrentReports races the shared lazy alias tables
 // through the full stack: one alias-mode MSM, many goroutines issuing
-// ReportBatch concurrently against the shared channel store. Every report
+// ReportBatchCtx concurrently against the shared channel store. Every report
 // must land inside the region; the -race instrumented Makefile pass
 // (race-persist) runs this to prove the once-guarded table build and
 // subsequent lock-free sharing are sound.
@@ -82,7 +83,7 @@ func TestAliasSharingConcurrentReports(t *testing.T) {
 					}
 				}
 				for round := 0; round < 5; round++ {
-					zs, err := m.ReportBatch(pts)
+					zs, err := m.ReportBatchCtx(context.Background(), pts)
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return

@@ -1,6 +1,7 @@
 package geoind
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -25,10 +26,10 @@ type PredictiveConfig struct {
 }
 
 // ReportTrace protects a trace by running every point through the mechanism
-// independently: total budget = len(points) * mech.Epsilon() by the
-// composability property.
-func ReportTrace(mech Mechanism, points []Point) ([]TraceStep, TraceSummary, error) {
-	steps, err := trajectory.Independent(mech, points)
+// independently under ctx: total budget = len(points) * mech.Epsilon() by
+// the composability property.
+func ReportTrace(ctx context.Context, mech Mechanism, points []Point) ([]TraceStep, TraceSummary, error) {
+	steps, err := trajectory.Independent(ctx, mech, points)
 	if err != nil {
 		return nil, TraceSummary{}, err
 	}
@@ -39,9 +40,9 @@ func ReportTrace(mech Mechanism, points []Point) ([]TraceStep, TraceSummary, err
 // ReportTracePredictive protects a trace with the predictive mechanism of
 // Chatzikokolakis et al. (PETS 2014): a cheap eps-test re-releases the
 // previous report while the user has not moved beyond Theta, so dwelling
-// users spend far less than len(points) * eps.
-func ReportTracePredictive(mech Mechanism, points []Point, cfg PredictiveConfig, seed uint64) ([]TraceStep, TraceSummary, error) {
-	steps, err := trajectory.Predictive(mech, points, trajectory.PredictiveConfig{
+// users spend far less than len(points) * eps. Fresh reports run under ctx.
+func ReportTracePredictive(ctx context.Context, mech Mechanism, points []Point, cfg PredictiveConfig, seed uint64) ([]TraceStep, TraceSummary, error) {
+	steps, err := trajectory.Predictive(ctx, mech, points, trajectory.PredictiveConfig{
 		Theta:   cfg.Theta,
 		EpsTest: cfg.EpsTest,
 	}, rand.New(rand.NewPCG(seed, 0x9e37)))
