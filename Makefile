@@ -1,15 +1,19 @@
-# Development and CI entry points. `make ci` is the full gate every PR must
-# pass: formatting, vet, build, the race-instrumented test suite (including a
-# focused pass over the snapshot-persistence paths) and a short benchmark
-# smoke run. `make bench-json` records the batch and persistence benchmarks
-# as BENCH_batch.json / BENCH_persist.json; `make bench-diff` compares a
-# fresh run against the committed baselines (warn-only).
+# Development and CI entry points. Every PR must pass `make ci` (formatting,
+# vet, build, the perfbench build, the race-instrumented test suite, the
+# experiments check and a short benchmark smoke run) and the five targets the
+# workflow runs as steps of their own after it: race-persist, load-smoke,
+# fleet-smoke, trace-smoke and fuzz-short. `make ci-all` runs all of them.
+# `make bench-json` records the batch and persistence benchmarks as
+# BENCH_batch.json / BENCH_persist.json; `make bench-diff` compares a fresh
+# run against the committed baselines (warn-only).
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build perfbench-build test race race-persist experiments-check fuzz-short bench-smoke bench-json bench-ctx bench-sample bench-local bench-load bench-fabric bench-trace bench-diff load-smoke fleet-smoke trace-smoke
+.PHONY: ci ci-all fmt-check vet build perfbench-build test race race-persist experiments-check fuzz-short bench-smoke bench-json bench-ctx bench-sample bench-local bench-load bench-fabric bench-trace bench-diff load-smoke fleet-smoke trace-smoke
 
-ci: fmt-check vet build perfbench-build race race-persist experiments-check bench-smoke load-smoke fleet-smoke trace-smoke
+ci: fmt-check vet build perfbench-build race experiments-check bench-smoke
+
+ci-all: ci race-persist load-smoke fleet-smoke trace-smoke fuzz-short
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -50,7 +54,7 @@ race:
 # the per-batch memo its workers share (in the internal/descent engine and
 # its internal/core and internal/adaptive partitions), pin its output to the
 # per-point path and count its cold solves, and SearchCum pins the inline
-# cumulative-row search to sort.SearchFloat64s.
+# cumulative-row search to sort.SearchFloat64s and the guided search to it.
 race-persist:
 	$(GO) test -race -count=2 -run 'Snapshot|DirCache|Backing|WarmRestart|CacheBytes|AliasSharing|LocalParallel|RelevanceDomain|Remote|Tiered|Ring|Fabric|Fleet|Concurrent|Journal|Rollover|Trace|ReportBatch|SearchCum' \
 		./internal/channel ./internal/opt ./internal/fabric ./internal/session ./internal/server ./internal/descent ./internal/core ./internal/adaptive .
@@ -72,13 +76,15 @@ experiments-check:
 
 # Short native-fuzz pass over the two snapshot decode layers (the checksummed
 # frame in internal/channel and the channel payload codec in internal/opt),
-# the session journal and the server's request parser (against encoding/json).
+# the guided cumulative-row search (against the binary search), the session
+# journal and the server's request parser (against encoding/json).
 # A budgeted smoke run for CI — soak runs can raise -fuzztime freely; new
 # crashers land in testdata/fuzz and should be committed as regression seeds.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/channel
 	$(GO) test -run xxx -fuzz FuzzSnapshotCodec -fuzztime 10s ./internal/opt
 	$(GO) test -run xxx -fuzz FuzzLocalRelevance -fuzztime 10s ./internal/opt
+	$(GO) test -run xxx -fuzz FuzzSearchCumGuided -fuzztime 10s ./internal/opt
 	$(GO) test -run xxx -fuzz FuzzJournalRecord -fuzztime 10s ./internal/session
 	$(GO) test -run xxx -fuzz FuzzSessionSnapshot -fuzztime 10s ./internal/session
 	$(GO) test -run xxx -fuzz FuzzReportDecode -fuzztime 10s ./internal/server

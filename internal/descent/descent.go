@@ -8,6 +8,7 @@ package descent
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -51,6 +52,18 @@ type Partition[N any, C Channel] interface {
 // batch still spreads over 16 claims.
 const batchChunk = 64
 
+// cacheLine is the coherence granule chunkStream pads to.
+const cacheLine = 64
+
+// chunkStream is one batch chunk's stream, re-seeded and drawn from for
+// every point of the chunk. The padding keeps cacheLine bytes between the
+// streams of adjacent chunks, so whatever the slice's alignment no two
+// workers write the same cache line on the per-point path.
+type chunkStream struct {
+	opt.Stream
+	_ [cacheLine]byte
+}
+
 // Engine runs Algorithm 1 over one Partition. A sequential engine (workers
 // <= 1) draws every report from one seeded generator under a mutex: each
 // mechanism's historical output stream. Otherwise the i-th report in arrival
@@ -58,7 +71,7 @@ const batchChunk = 64
 // still the same outputs for the same seed and arrival order.
 type Engine[N any, C Channel] struct {
 	part       Partition[N, C]
-	region     geo.Rect
+	lo, hi     geo.Point // clamp bounds: the region's min corner and its last point inside
 	store      *channel.Store
 	workers    int
 	kind       opt.SamplerKind
@@ -76,18 +89,20 @@ type Engine[N any, C Channel] struct {
 	memoPool sync.Pool // *memo, every entry empty while pooled
 }
 
-// New returns an engine over p that clamps inputs onto region and keeps
-// channels in store (nil: a private one). workers is the pipeline's Workers
-// setting (0 or 1 sequential, negative one per CPU), kind its sampler, and
-// owns, when non-nil, the filter of the keys PrecomputeCtx solves. The
-// sequential generator is PCG(seed, salt).
+// New returns an engine over p that clamps inputs onto region, as
+// geo.Rect.Clamp does, and keeps channels in store (nil: a private one).
+// workers is the pipeline's Workers setting (0 or 1 sequential, negative one
+// per CPU), kind its sampler, and owns, when non-nil, the filter of the keys
+// PrecomputeCtx solves. The sequential generator is PCG(seed, salt).
 func New[N any, C Channel](p Partition[N, C], region geo.Rect, store *channel.Store, workers int, kind opt.SamplerKind,
 	owns func(channel.Key) bool, seed, salt, streamSalt uint64) *Engine[N, C] {
 	if store == nil {
 		store = channel.New(channel.Options{})
 	}
 	return &Engine[N, C]{
-		part: p, region: region, store: store, workers: channel.Workers(workers), kind: kind, owns: owns,
+		part: p, store: store, workers: channel.Workers(workers), kind: kind, owns: owns,
+		lo:   geo.Point{X: region.MinX, Y: region.MinY},
+		hi:   geo.Point{X: math.Nextafter(region.MaxX, region.MinX), Y: math.Nextafter(region.MaxY, region.MinY)},
 		seed: seed, streamSalt: streamSalt, rng: rand.New(rand.NewPCG(seed, salt)),
 	}
 }
@@ -241,9 +256,9 @@ func (e *Engine[N, C]) release(ctx context.Context, xs []geo.Point, rng *rand.Ra
 	defer e.putMemo(memo)
 	out := make([]geo.Point, len(xs))
 	chunks := (len(xs) + batchChunk - 1) / batchChunk
-	var streams []opt.Stream
+	var streams []chunkStream
 	if rng == nil {
-		streams = make([]opt.Stream, chunks)
+		streams = make([]chunkStream, chunks)
 	}
 	if err := channel.ForEachCtx(ctx, workers, chunks, func(c int) error {
 		r := rng
@@ -334,13 +349,19 @@ func (e *Engine[N, C]) sampler(ctx context.Context, n N, id int, memo *memo) (op
 	return s, nil
 }
 
+// clamp is geo.Rect.Clamp onto the engine's region, with the bounds New
+// computed once instead of two math.Nextafter calls per point.
+func (e *Engine[N, C]) clamp(x geo.Point) geo.Point {
+	return geo.Point{X: min(max(x.X, e.lo.X), e.hi.X), Y: min(max(x.Y, e.lo.Y), e.hi.Y)}
+}
+
 // descend runs Algorithm 1 for x: at each inner node it runs the channel on
 // the child enclosing x and moves into the drawn child. When x lies outside
 // the node (an earlier step drew a cell other than x's), line 10 substitutes
 // a uniformly random child. Resolving a sampler draws nothing, so the
 // stream of draws is the same with or without memo.
 func (e *Engine[N, C]) descend(ctx context.Context, x geo.Point, rng *rand.Rand, memo *memo) (geo.Point, error) {
-	x = e.region.Clamp(x)
+	x = e.clamp(x)
 	n := e.part.Root()
 	for id := e.part.Inner(n); id >= 0; id = e.part.Inner(n) {
 		s, err := e.sampler(ctx, n, id, memo)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"geoind/internal/channel"
 	"geoind/internal/geo"
@@ -268,5 +270,47 @@ func TestPrecomputeOwns(t *testing.T) {
 	}
 	if got := e.Store().Len(); got != 4 || q.solves.Load() != 4 {
 		t.Errorf("%d resident after %d solves, want the 4 level-1 channels", got, q.solves.Load())
+	}
+}
+
+// TestChunkStreamLayout guards the batch streams' padding: from the last
+// byte of one chunk's stream to the first byte of the next there are at
+// least 64 bytes, so two workers drawing for adjacent chunks never write the
+// same cache line, whatever the slice's alignment. The padding is the only
+// other field, and it is never written.
+func TestChunkStreamLayout(t *testing.T) {
+	var cs [2]chunkStream
+	first := uintptr(unsafe.Pointer(&cs[0])) + unsafe.Offsetof(cs[0].Stream)
+	next := uintptr(unsafe.Pointer(&cs[1])) + unsafe.Offsetof(cs[1].Stream)
+	if gap := next - (first + unsafe.Sizeof(cs[0].Stream)); gap < 64 {
+		t.Fatalf("adjacent chunk streams %d bytes apart (slot %d bytes, stream %d at offset %d), want >= 64",
+			gap, unsafe.Sizeof(cs[0]), unsafe.Sizeof(cs[0].Stream), unsafe.Offsetof(cs[0].Stream))
+	}
+}
+
+// TestClampMatchesRect: the engine's hoisted clamp equals geo.Rect.Clamp bit
+// for bit on both sides of every bound, at the bounds, on signed zeros and
+// infinities, and is NaN where it is (the clamped point only feeds
+// comparisons, which do not tell one NaN from another).
+func TestClampMatchesRect(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for _, r := range []geo.Rect{{MaxX: 1, MaxY: 1}, {MinX: -3, MinY: 2, MaxX: 0, MaxY: 7.5}} {
+		e := New[quad, *toyChannel](&quadTree{height: 1}, r, nil, 1, opt.SamplerCum, nil, 3, testSalt, testStream)
+		var vs []float64
+		for _, b := range []float64{r.MinX, r.MaxX, r.MinY, r.MaxY} {
+			vs = append(vs, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)))
+		}
+		vs = append(vs, 0, math.Copysign(0, -1), 0.5, math.Inf(1), math.Inf(-1), math.NaN())
+		for _, x := range vs {
+			for _, y := range vs {
+				p := geo.Point{X: x, Y: y}
+				got, want := e.clamp(p), r.Clamp(p)
+				if !same(got.X, want.X) || !same(got.Y, want.Y) {
+					t.Fatalf("%v clamp %v: engine %v, Rect.Clamp %v", r, p, got, want)
+				}
+			}
+		}
 	}
 }

@@ -140,7 +140,7 @@ func (r *TrajectoryResult) Table() *Table {
 		Notes: []string{
 			"predictive mechanism of Chatzikokolakis et al. (PETS 2014): a cheap private test re-releases the previous report while the user dwells",
 			"savings grow with temporal correlation; utility stays comparable",
-			"adv_err: empirical Bayesian attacker's mean localization error (larger = more private); predictive should not fall below independent",
+			"adv_err: empirical Bayesian attacker's mean localization error (larger = more private)",
 		},
 	}
 	for _, row := range r.Rows {

@@ -3,6 +3,8 @@ package opt
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"geoind/internal/geo"
@@ -194,6 +196,60 @@ func FuzzLocalRelevance(f *testing.F) {
 			if par[i] != dom[i] {
 				t.Fatalf("parallel domain differs at %d: %d vs %d", i, par[i], dom[i])
 			}
+		}
+	})
+}
+
+// FuzzSearchCumGuided checks the guide-table search against the binary
+// search on arbitrary rows. The row is up to 256 float64s taken from data,
+// used raw (any order, NaN and infinities included) or, when prefix is set,
+// as the prefix sums of their magnitudes, the shape of a channel's
+// cumulative rows. Contract: guideRow and searchCumGuided never panic, and
+// the guided index equals searchCum's for a draw frac*last, for 0, and for
+// every entry and its neighbouring floats.
+func FuzzSearchCumGuided(f *testing.F) {
+	le := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(le(0.25, 0.25, 0.5), true, 0.5)
+	f.Add(le(0, 0, 1, 0, 0), true, 0.99)
+	f.Add(le(math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64), true, 0.3)
+	f.Add(le(0.5, math.Nextafter(1, 2)), false, 0.999)
+	f.Add(le(1, 0.5, math.NaN(), math.Inf(1)), false, 0.1)
+	f.Fuzz(func(t *testing.T, data []byte, prefix bool, frac float64) {
+		n := min(len(data)/8, 256)
+		if n == 0 {
+			return
+		}
+		row := make([]float64, n)
+		acc := 0.0
+		for i := range row {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			if prefix {
+				acc += math.Abs(v)
+				v = acc
+			}
+			row[i] = v
+		}
+		guide := make([]int32, n)
+		s := guideRow(row, guide)
+		check := func(u float64) {
+			if got, want := searchCumGuided(row, guide, s, u), searchCum(row, u); got != want {
+				t.Fatalf("row %v u=%v: guided %d, binary %d", row, u, got, want)
+			}
+		}
+		if frac >= 0 && frac < 1 {
+			check(frac * row[n-1])
+		}
+		check(0)
+		for _, v := range row {
+			check(v)
+			check(math.Nextafter(v, math.Inf(1)))
+			check(math.Nextafter(v, math.Inf(-1)))
 		}
 	})
 }

@@ -82,7 +82,7 @@ type Channel struct {
 	// smaller.
 	PairFamilies int
 
-	cum    []float64   // dense: row-wise cumulative sums (reference sampler)
+	cum    *cumSampler // dense: cumulative rows and guide tables (reference sampler)
 	sparse *sparseRows // compact: pruned representation (K and cum are nil)
 	ref    Sampler     // cached reference sampler (no per-call allocation)
 
@@ -222,12 +222,11 @@ func mixUniform(k []float64, n int, delta float64) {
 	}
 }
 
-// buildCum builds the dense cumulative rows (prefix sums of K) and caches
-// the reference sampler over them.
+// buildCum builds the dense cumulative rows (prefix sums of K) with their
+// guide tables and caches the reference sampler over them.
 func (c *Channel) buildCum() {
-	n := c.Grid.NumCells()
-	c.cum = prefixSumRows(n, c.K)
-	c.ref = cumSampler{n: n, cum: c.cum}
+	c.cum = newCumSampler(c.Grid.NumCells(), c.K)
+	c.ref = c.cum
 }
 
 // prefixSumRows is the single prefix-sum implementation shared by dense

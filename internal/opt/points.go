@@ -31,7 +31,7 @@ type PointChannel struct {
 	// Iters is the number of interior-point iterations used.
 	Iters int
 
-	cum    []float64   // dense: row-wise cumulative sums (reference sampler)
+	cum    *cumSampler // dense: cumulative rows and guide tables (reference sampler)
 	sparse *sparseRows // compact: pruned representation (K and cum are nil)
 	ref    Sampler     // cached reference sampler
 
@@ -39,12 +39,12 @@ type PointChannel struct {
 	alias     Sampler
 }
 
-// buildCum builds the dense cumulative rows and caches the reference
-// sampler (shared prefix-sum and binary-search code with Channel).
+// buildCum builds the dense cumulative rows with their guide tables and
+// caches the reference sampler (shared prefix-sum and search code with
+// Channel).
 func (c *PointChannel) buildCum() {
-	n := c.N()
-	c.cum = prefixSumRows(n, c.K)
-	c.ref = cumSampler{n: n, cum: c.cum}
+	c.cum = newCumSampler(c.N(), c.K)
+	c.ref = c.cum
 }
 
 // initSparse attaches a compact representation and its reference sampler.

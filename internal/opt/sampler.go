@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync"
 )
@@ -9,9 +10,10 @@ import (
 // Warm-path sampling is abstracted behind Sampler so the serving layers can
 // choose their speed/​memory point without touching the channel math:
 //
-//   - SamplerCum is the historical per-row cumulative binary search
-//     (O(log n) per draw). It consumes exactly one rng.Float64() per draw in
-//     the exact sequence the pre-refactor SampleIndex did, so it is the
+//   - SamplerCum is the historical per-row cumulative search, located
+//     through a per-row guide table (O(1) expected per draw, the same index
+//     as the binary search). It consumes exactly one rng.Float64() per draw
+//     in the exact sequence the pre-refactor SampleIndex did, so it is the
 //     bit-compatibility reference and the correctness oracle the alias
 //     implementation is tested against (TV distance / chi-square).
 //   - SamplerAlias is a Walker/Vose alias table: O(1) per draw, branch-light,
@@ -27,7 +29,7 @@ import (
 type SamplerKind int
 
 const (
-	// SamplerCum is the cumulative-row binary search (reference/oracle).
+	// SamplerCum is the guided cumulative-row search (reference/oracle).
 	SamplerCum SamplerKind = iota
 	// SamplerAlias is the O(1) Walker alias-method table.
 	SamplerAlias
@@ -110,23 +112,90 @@ func searchCum(row []float64, u float64) int {
 	return lo
 }
 
-// sampleCumRow draws an index from one cumulative row: the single shared
-// implementation of the clamped binary-search sampling step that
-// Channel and PointChannel previously duplicated. Scaling the uniform draw
-// by the final entry (≈1) keeps the draw stream bit-identical to the
-// historical code for any row whose sum deviates from 1 in the last ulp.
-func sampleCumRow(row []float64, rng *rand.Rand) int {
-	return searchCum(row, rng.Float64()*row[len(row)-1])
+// guideRow fills guide (one entry per row entry) with the guide table of a
+// cumulative row and returns the row's scale s = n/last: guide[b] is the
+// smallest i with int(row[i]*s) >= b, or n-1 when there is none. It returns
+// 0, leaving guide unused, unless the row is nondecreasing from a
+// nonnegative first entry to a positive finite last one with a finite
+// scale; such rows keep the binary search.
+func guideRow(row []float64, guide []int32) float64 {
+	n := len(row)
+	last := row[n-1]
+	s := float64(n) / last
+	if !(row[0] >= 0) || !(last > 0) || math.IsInf(last, 1) || math.IsInf(s, 1) {
+		return 0
+	}
+	for i := 1; i < n; i++ {
+		if !(row[i] >= row[i-1]) {
+			return 0
+		}
+	}
+	i := 0
+	for b := range guide {
+		for i < n-1 && int(row[i]*s) < b {
+			i++
+		}
+		guide[b] = int32(i)
+	}
+	return s
 }
 
-// cumSampler is the reference Sampler over dense cumulative rows.
+// searchCumGuided is searchCum through a row's guide table and scale
+// (guideRow; scale 0 falls back to the binary search). Multiplying by s > 0
+// and truncating are both monotone, so for the answer j of searchCum,
+// row[j] >= u gives int(row[j]*s) >= int(u*s): guide[int(u*s)] <= j, and the
+// upward scan stops exactly at j, or at n-1 when no entry reaches u. Buckets
+// are last/n wide, so the scan expects about one step. The bucket is
+// clamped onto [0, n-1] (a NaN u starts at 0 and scans to n-1, as
+// searchCum ends there too).
+func searchCumGuided(row []float64, guide []int32, s, u float64) int {
+	if s == 0 {
+		return searchCum(row, u)
+	}
+	n := len(row)
+	b := 0
+	if v := u * s; v >= float64(n-1) {
+		b = n - 1
+	} else if v > 0 {
+		b = int(v)
+	}
+	i := int(guide[b])
+	for i < n-1 && !(row[i] >= u) {
+		i++
+	}
+	return i
+}
+
+// cumSampler is the reference Sampler over dense cumulative rows. A draw
+// scales one rng.Float64() by the row's final entry (≈1), which keeps the
+// draw stream bit-identical to the historical code for any row whose sum
+// deviates from 1 in the last ulp, and locates it through the row's guide
+// table: the index searchCum would return, in O(1) expected steps.
 type cumSampler struct {
-	n   int
-	cum []float64
+	n     int
+	rows  []float64 // n*n row-wise prefix sums of K
+	scale []float64 // per row: guideRow's scale, 0 for a binary-search row
+	guide []int32   // n*n: one guide table per row
 }
 
-func (s cumSampler) Sample(x int, rng *rand.Rand) int {
-	return sampleCumRow(s.cum[x*s.n:(x+1)*s.n], rng)
+// newCumSampler builds the cumulative rows of the dense n x n matrix k and
+// their guide tables.
+func newCumSampler(n int, k []float64) *cumSampler {
+	s := &cumSampler{n: n, rows: prefixSumRows(n, k), scale: make([]float64, n), guide: make([]int32, n*n)}
+	for x := range n {
+		s.scale[x] = guideRow(s.rows[x*n:(x+1)*n], s.guide[x*n:(x+1)*n])
+	}
+	return s
+}
+
+func (s *cumSampler) Sample(x int, rng *rand.Rand) int {
+	row := s.rows[x*s.n : (x+1)*s.n]
+	return searchCumGuided(row, s.guide[x*s.n:(x+1)*s.n], s.scale[x], rng.Float64()*row[s.n-1])
+}
+
+// costBytes is the resident size of the rows, scales and guide tables.
+func (s *cumSampler) costBytes() int64 {
+	return int64(len(s.rows)+len(s.scale))*8 + int64(len(s.guide))*4
 }
 
 // aliasTable is a Walker/Vose alias table for a dense row-stochastic matrix:

@@ -80,7 +80,92 @@ func TestSearchCumMatchesSortSearch(t *testing.T) {
 	}
 }
 
-// TestSampleCumRowBitCompat pins the shared cum-row helper (and therefore
+// guidedRows returns cumulative rows of n entries in the shapes the guided
+// search must get right: random mass, zero-mass runs (ties), subnormal
+// mass, a last entry one ulp above and one below 1, leading zeros, and
+// rows it must leave to the binary search (all zeros, a decreasing step).
+// guided reports which rows should carry a guide table.
+func guidedRows(rng *rand.Rand, n int) (rows [][]float64, guided []bool) {
+	prefix := func(w func(i int) float64) []float64 {
+		row := make([]float64, n)
+		acc := 0.0
+		for i := range row {
+			acc += w(i)
+			row[i] = acc
+		}
+		return row
+	}
+	add := func(row []float64, g bool) {
+		rows = append(rows, row)
+		guided = append(guided, g)
+	}
+	add(prefix(func(int) float64 { return 1 - rng.Float64() }), true)
+	add(prefix(func(i int) float64 {
+		if i < n-1 && rng.IntN(3) != 0 {
+			return 0
+		}
+		return 1 - rng.Float64()
+	}), true)
+	sub := prefix(func(int) float64 { return math.SmallestNonzeroFloat64 * float64(1+rng.IntN(4)) })
+	add(sub, !math.IsInf(float64(n)/sub[n-1], 1))
+	for _, last := range []float64{math.Nextafter(1, 2), math.Nextafter(1, 0)} {
+		row := prefix(func(int) float64 { return 1 / float64(n) })
+		for i := range row {
+			row[i] = min(row[i], last)
+		}
+		row[n-1] = last
+		add(row, true)
+	}
+	add(prefix(func(i int) float64 {
+		if i < n/2 {
+			return 0
+		}
+		return 1
+	}), true)
+	add(make([]float64, n), false)
+	if n > 1 {
+		down := prefix(func(int) float64 { return 1 })
+		down[0] = float64(n + 1)
+		add(down, false)
+	}
+	return rows, guided
+}
+
+// TestSearchCumGuidedMatchesSearchCum: the guide-table search returns the
+// binary search's index for every probe of a draw's range (0, every entry
+// and its neighbouring floats, the last entry) on every row shape, and rows
+// that cannot carry a guide fall back to the binary search.
+func TestSearchCumGuidedMatchesSearchCum(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 43))
+	for _, n := range []int{1, 2, 36, 256} {
+		rows, guided := guidedRows(rng, n)
+		for r, row := range rows {
+			guide := make([]int32, n)
+			s := guideRow(row, guide)
+			if (s > 0) != guided[r] {
+				t.Fatalf("n=%d row %d: scale %v, want guided=%v", n, r, s, guided[r])
+			}
+			check := func(u float64) {
+				t.Helper()
+				if got, want := searchCumGuided(row, guide, s, u), searchCum(row, u); got != want {
+					t.Fatalf("n=%d row %d u=%v: guided %d, binary %d", n, r, u, got, want)
+				}
+			}
+			check(0)
+			check(row[n-1])
+			for _, v := range row {
+				check(v)
+				check(math.Nextafter(v, math.Inf(1)))
+				check(math.Nextafter(v, math.Inf(-1)))
+			}
+			for range 64 {
+				check(rng.Float64() * row[n-1])
+			}
+		}
+	}
+}
+
+// TestSampleCumRowBitCompat pins the guided cum sampler (and therefore
 // SampleIndex and Sampler(SamplerCum)) to the historical draw stream: one
 // rng.Float64() scaled by the final cumulative entry, sort.SearchFloat64s,
 // and a clamp of the off-the-end edge case.
@@ -89,7 +174,7 @@ func TestSampleCumRowBitCompat(t *testing.T) {
 	n := ch.N()
 
 	historical := func(x int, rng *rand.Rand) int {
-		row := ch.cum[x*n : (x+1)*n]
+		row := ch.cum.rows[x*n : (x+1)*n]
 		z := sort.SearchFloat64s(row, rng.Float64()*row[n-1])
 		if z >= n {
 			z = n - 1

@@ -52,23 +52,23 @@ const rowSumTol = 1e-6
 type SnapshotCodec struct{}
 
 // SnapshotCost is a channel.Options.CostFn measuring resident bytes of the
-// sampling-critical payload of a cached channel: K plus cumulative rows for
-// dense channels, the CSR arrays plus background rows for compact ones
-// (lazily built alias tables are excluded — they are derived state, rebuilt
-// on demand after an eviction). Unknown values cost 1 so a misconfigured
-// store still bounds entry count.
+// sampling-critical payload of a cached channel: K plus cumulative rows and
+// their guide tables for dense channels, the CSR arrays plus background rows
+// for compact ones (lazily built alias tables are excluded — they are
+// derived state, rebuilt on demand after an eviction). Unknown values cost 1
+// so a misconfigured store still bounds entry count.
 func SnapshotCost(v any) int64 {
 	switch c := v.(type) {
 	case *Channel:
 		if c.sparse != nil {
 			return c.sparse.costBytes()
 		}
-		return int64(len(c.K)+len(c.cum)) * 8
+		return int64(len(c.K))*8 + c.cum.costBytes()
 	case *PointChannel:
 		if c.sparse != nil {
 			return c.sparse.costBytes()
 		}
-		return int64(len(c.K)+len(c.cum)) * 8
+		return int64(len(c.K))*8 + c.cum.costBytes()
 	default:
 		return 1
 	}

@@ -55,9 +55,9 @@ func TestSnapshotCodecChannelRoundTrip(t *testing.T) {
 			t.Fatalf("K[%d]: %v vs %v (not bit-equal)", i, got.K[i], ch.K[i])
 		}
 	}
-	for i := range ch.cum {
-		if got.cum[i] != ch.cum[i] {
-			t.Fatalf("cum[%d]: %v vs %v (not bit-equal)", i, got.cum[i], ch.cum[i])
+	for i := range ch.cum.rows {
+		if got.cum.rows[i] != ch.cum.rows[i] {
+			t.Fatalf("cum[%d]: %v vs %v (not bit-equal)", i, got.cum.rows[i], ch.cum.rows[i])
 		}
 	}
 
@@ -103,7 +103,7 @@ func TestSnapshotCodecPointChannelRoundTrip(t *testing.T) {
 		}
 	}
 	for i := range ch.K {
-		if got.K[i] != ch.K[i] || got.cum[i] != ch.cum[i] {
+		if got.K[i] != ch.K[i] || got.cum.rows[i] != ch.cum.rows[i] {
 			t.Fatalf("matrix entry %d not bit-equal", i)
 		}
 	}
@@ -202,7 +202,8 @@ func putFloatLE(b []byte, f float64) {
 
 func TestSnapshotCost(t *testing.T) {
 	ch := snapshotTestChannel(t)
-	want := int64(len(ch.K)+len(ch.cum)) * 8
+	n := int64(ch.N())
+	want := (n*n+n*n+n)*8 + n*n*4 // K, cumulative rows, row scales; guide tables
 	if got := SnapshotCost(ch); got != want {
 		t.Fatalf("SnapshotCost(Channel) = %d, want %d", got, want)
 	}
